@@ -56,6 +56,20 @@ void BM_RngFillUint64(benchmark::State& state) {
 }
 BENCHMARK(BM_RngFillUint64)->Arg(4096);
 
+void BM_RngDiscard(benchmark::State& state) {
+  // Skipping words instead of generating them: 2^21 is the ν debt of one
+  // ⊥-dominated 2^20-query batch (BM_SvtRunBatch), settled by one jump;
+  // items are words skipped, so compare with BM_RngFillUint64's rate.
+  Rng rng(1);
+  const uint64_t n = static_cast<uint64_t>(state.range(0));
+  for (auto _ : state) {
+    rng.Discard(n);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_RngDiscard)->Arg(4096)->Arg(1 << 21);
+
 void BM_LaplaceSampleBlock(benchmark::State& state) {
   Rng rng(2);
   std::vector<double> buf(static_cast<size_t>(state.range(0)));

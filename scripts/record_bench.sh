@@ -20,14 +20,17 @@
 #   BENCH     bench binary          (default build/bench_micro)
 #   BENCH_B   arm-B binary          (default $BENCH; paired mode only)
 #   REPS      repetitions           (default 5)
-#   MIN_TIME  --benchmark_min_time  (default 0.25)
+#   MIN_TIME  --benchmark_min_time in seconds, as 0.25 or 0.25s
+#             (default 0.25); passed with or without the "s" suffix,
+#             whichever the binary's google-benchmark version accepts
 set -euo pipefail
 
 BENCH="${BENCH:-build/bench_micro}"
 BENCH_B="${BENCH_B:-$BENCH}"
 REPS="${REPS:-5}"
 MIN_TIME="${MIN_TIME:-0.25}"
-FILTER="${1:-BM_SvtRunBatch/|BM_SvtRunBatchNearThreshold|BM_SvtRunBatchPerQueryNearThreshold|BM_SvtRunBatchResampleNearThreshold|BM_FusedLaplaceScanSumGePairwise|BM_RngFillUint64|BM_LaplaceSampleBlock}"
+MIN_TIME="${MIN_TIME%s}"
+FILTER="${1:-BM_SvtRunBatch/|BM_SvtRunBatchNearThreshold|BM_SvtRunBatchPerQueryNearThreshold|BM_SvtRunBatchResampleNearThreshold|BM_FusedLaplaceScanSumGePairwise|BM_RngFillUint64|BM_RngDiscard|BM_LaplaceSampleBlock}"
 FILTER_B="${2:-}"
 
 for bin in "$BENCH" "$BENCH_B"; do
@@ -36,6 +39,18 @@ for bin in "$BENCH" "$BENCH_B"; do
     exit 1
   fi
 done
+
+# min_time_arg <binary>: MIN_TIME spelled the way the binary parses it.
+# Newer google-benchmark releases want a unit suffix ("0.25s"); older ones
+# reject it and take a bare number of seconds.
+min_time_arg() {
+  if "$1" --benchmark_list_tests=true --benchmark_filter='^$' \
+      --benchmark_min_time="${MIN_TIME}s" >/dev/null 2>&1; then
+    echo "${MIN_TIME}s"
+  else
+    echo "$MIN_TIME"
+  fi
+}
 
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
@@ -48,7 +63,7 @@ trap 'rm -f "$tmp"' EXIT
 # (BM_SvtRunBatchPerQueryNearThreshold*: fraction of per-query elements
 # whose transform the span skip words discharged).
 run_arm() {
-  "$1" --benchmark_filter="$2" --benchmark_min_time="$MIN_TIME" \
+  "$1" --benchmark_filter="$2" --benchmark_min_time="$(min_time_arg "$1")" \
     2>/dev/null |
     awk -v suffix="$3" '/items_per_second=/ {
       v = ""

@@ -113,7 +113,67 @@ void FillLockstep(uint64_t* s, uint64_t* p, size_t steps) {
   FillLockstepScalar(s, p, steps);
 }
 
+using xoshiro_poly::kCharPoly;
+using xoshiro_poly::Poly;
+
+// a * b mod P by shift-and-add from b's top coefficient down: 256 rounds
+// of r = r * x mod P (a shift, then folding the x^256 carry back in as
+// P's low part), adding a wherever b has a coefficient.
+constexpr Poly MulModImpl(const Poly& a, const Poly& b) {
+  Poly r{};
+  for (int i = 255; i >= 0; --i) {
+    const uint64_t carry = 0 - (r[3] >> 63);
+    r[3] = (r[3] << 1) | (r[2] >> 63);
+    r[2] = (r[2] << 1) | (r[1] >> 63);
+    r[1] = (r[1] << 1) | (r[0] >> 63);
+    r[0] <<= 1;
+    const uint64_t add = 0 - ((b[i / 64] >> (i % 64)) & 1);
+    for (int w = 0; w < 4; ++w) r[w] ^= (kCharPoly[w] & carry) ^ (a[w] & add);
+  }
+  return r;
+}
+
+// x^(2^i) mod P for every bit of a 64-bit step count, by repeated
+// squaring from x — computed at compile time.
+constexpr std::array<Poly, 64> BuildPow2Table() {
+  std::array<Poly, 64> t{};
+  t[0] = Poly{2, 0, 0, 0};
+  for (size_t i = 1; i < t.size(); ++i) t[i] = MulModImpl(t[i - 1], t[i - 1]);
+  return t;
+}
+
+constexpr std::array<Poly, 64> kPow2 = BuildPow2Table();
+
+// Advances every lane of the SoA block `s` by the steps `poly` encodes:
+// the sum over set coefficients c_i of T^i s (Cayley-Hamilton), walked as
+// 256 lockstep steps with a masked accumulation before each — xoshiro's
+// own jump(), run on all four lanes at once. A few microseconds, so it
+// needs no SIMD lane of its own.
+void ApplyStepPoly(uint64_t* s, const Poly& poly) {
+  uint64_t acc[16] = {};
+  for (int i = 0; i < 256; ++i) {
+    const uint64_t take = 0 - ((poly[i / 64] >> (i % 64)) & 1);
+    for (int k = 0; k < 16; ++k) acc[k] ^= s[k] & take;
+    for (int j = 0; j < 4; ++j) lockstep::StepLaneSoA(s, j);
+  }
+  std::copy(acc, acc + 16, s);
+}
+
 }  // namespace
+
+namespace xoshiro_poly {
+
+Poly MulMod(const Poly& a, const Poly& b) { return MulModImpl(a, b); }
+
+Poly StepPoly(uint64_t k) {
+  Poly r{1, 0, 0, 0};
+  for (int i = 0; k != 0; ++i, k >>= 1) {
+    if (k & 1) r = MulModImpl(r, kPow2[i]);
+  }
+  return r;
+}
+
+}  // namespace xoshiro_poly
 
 uint64_t SplitMix64Next(uint64_t& state) {
   uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
@@ -198,6 +258,32 @@ size_t BlockRng::FillBounded(std::span<uint64_t> out) {
   // scalar so a caller looping toward a fixed word count terminates.
   for (uint64_t& w : out) w = Next();
   return out.size();
+}
+
+void BlockRng::Discard(uint64_t n) {
+  static_assert((kDiscardJumpMinWords & (kDiscardJumpMinWords - 1)) == 0 &&
+                    kDiscardJumpMinWords % kLanes == 0,
+                "the jump/generate split needs a power-of-two multiple of "
+                "the lane count");
+  if (n >= kDiscardJumpMinWords) {
+    // Phase catch-up to a lane-aligned position, then one jump over whole
+    // multiples of the crossover. The remainder (fewer than
+    // kDiscardJumpMinWords words) is generated below: cheaper than the
+    // MulMod each low bit of the step count would cost.
+    while (phase_ != 0) {
+      Next();
+      --n;
+    }
+    const uint64_t jump = n & ~(kDiscardJumpMinWords - 1);
+    ApplyStepPoly(&s_[0][0], xoshiro_poly::StepPoly(jump / kLanes));
+    n -= jump;
+  }
+  uint64_t scratch[256];
+  while (n > 0) {
+    const size_t m = static_cast<size_t>(std::min<uint64_t>(n, 256));
+    Fill({scratch, m});
+    n -= m;
+  }
 }
 
 BlockRng::State BlockRng::state() const {

@@ -46,11 +46,13 @@ uint64_t SplitMix64Next(uint64_t& state);
 ///     step floor(k / 4) — lane-interleaved, so four consecutive outputs
 ///     at a lane-aligned position are one step of all four lanes.
 ///
-/// Next() and Fill() walk this one stream; Fill() executes lane-aligned
-/// spans as SIMD lockstep steps (AVX2, or AVX-512's native 64-bit rotate,
-/// per vecmath's runtime dispatch level) and is bit-identical to a Next()
-/// loop at every level — xoshiro is pure integer arithmetic, so lanes
-/// cannot diverge by rounding.
+/// Next(), Fill() and Discard() walk this one stream; Fill() executes
+/// lane-aligned spans as SIMD lockstep steps (AVX2, or AVX-512's native
+/// 64-bit rotate, per vecmath's runtime dispatch level) and is
+/// bit-identical to a Next() loop at every level — xoshiro is pure integer
+/// arithmetic, so lanes cannot diverge by rounding. Discard(n) lands on
+/// the state n Next() calls would reach, whether it generates the words
+/// or jumps over them, so skipping words never moves a later draw.
 class BlockRng {
  public:
   /// Lane count. Fixed by the stream definition: changing it changes every
@@ -92,6 +94,22 @@ class BlockRng {
   /// scalar instead, so callers looping to a byte budget always progress.
   size_t FillBounded(std::span<uint64_t> out);
 
+  /// Advances the stream by n outputs without producing them: afterwards
+  /// the generator is exactly where n Next() calls would leave it, at
+  /// every dispatch level. Below kDiscardJumpMinWords the words are
+  /// generated and dropped; from there on whole multiples of it are jumped
+  /// in O(log n) and only the remainder is generated. xoshiro's transition
+  /// is linear over GF(2), so k lockstep steps apply x^k mod P(x)
+  /// (xoshiro_poly below) to each lane, as xoshiro's own jump() does for
+  /// k = 2^128.
+  void Discard(uint64_t n);
+
+  /// Word count from which Discard jumps instead of generating: the
+  /// crossover where one polynomial application (256 steps plus their
+  /// masked accumulations, about 3 us on a 2.0 GHz Xeon) gets
+  /// cheaper than plain lockstep generation of the words.
+  static constexpr uint64_t kDiscardJumpMinWords = 8192;
+
   /// Snapshot for serialization and tests. Together with Restore() this is
   /// the checkpoint seam the lane-resident megakernels (vecmath's Mega*
   /// family) use: State::words is the SoA state flattened in the same
@@ -119,6 +137,35 @@ class BlockRng {
   std::array<std::array<uint64_t, kLanes>, 4> s_;
   uint32_t phase_ = 0;
 };
+
+/// GF(2) polynomial arithmetic behind BlockRng::Discard, exposed so tests
+/// can pin it against xoshiro's published jump constants.
+///
+/// The xoshiro256 state transition T is linear over GF(2) with
+/// characteristic polynomial P(x) of degree 256, so by Cayley-Hamilton
+/// T^k = sum_i c_i T^i where x^k mod P = sum_i c_i x^i: advancing a lane
+/// k steps is 256 steps of accumulating the states whose coefficient is
+/// set. The same polynomial serves all four lanes, which advance in
+/// lockstep.
+namespace xoshiro_poly {
+
+/// A polynomial of degree < 256 over GF(2): bit b of word i is the
+/// coefficient of x^(64 i + b) — the layout of xoshiro's JUMP constants.
+using Poly = std::array<uint64_t, 4>;
+
+/// The low 256 coefficients of P(x) (the x^256 term is implicit),
+/// derived by Berlekamp-Massey from one state bit's sequence.
+inline constexpr Poly kCharPoly = {
+    0x9d116f2bb0f0f001ULL, 0x0280002bcefd1a5eULL, 0x04b4edcf26259f85ULL,
+    0x0003c03c3f3ecb19ULL};
+
+/// a * b mod P.
+Poly MulMod(const Poly& a, const Poly& b);
+
+/// x^k mod P: the jump polynomial for k lockstep steps.
+Poly StepPoly(uint64_t k);
+
+}  // namespace xoshiro_poly
 
 /// Interleaved four-lane xoshiro256++ generator (see BlockRng) with the
 /// convenience draws used by the samplers.
@@ -176,6 +223,11 @@ class Rng {
   /// scan paths pull L1-resident word sub-blocks through. Looping until a
   /// target count is reached consumes exactly the FillUint64 stream.
   size_t FillUint64Bounded(std::span<uint64_t> out);
+
+  /// Advances past the next n NextUint64() outputs without producing them
+  /// (BlockRng::Discard) — how the batch engine settles the ν words of
+  /// chunks it proved all-⊥ without generating them.
+  void Discard(uint64_t n) { core_.Discard(n); }
 
   /// Fills `out` with the next out.size() NextDouble() outputs.
   void FillDouble(std::span<double> out);

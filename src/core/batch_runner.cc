@@ -193,12 +193,39 @@ size_t BatchRunner::Run(std::span<const double> answers, double threshold,
   // precision otherwise.
   BoundPipeline pipe(has_nu ? prefilter : nullptr, spec_.nu_scale, kBoundSpan,
                      &state_->batch);
+  const size_t wpv = WordsPerVariate(spec_.nu_kind);
+  const bool exp_nu = spec_.nu_kind == NoiseKind::kExponential;
+  // ν words of chunks the word-free tier-1 test discharged, not yet taken
+  // from the substream: settled by one Discard before the next chunk that
+  // generates words, and before returning.
+  uint64_t owed_words = 0;
 
   size_t done = 0;
   while (done < total) {
     const size_t n = std::min(kChunkSize, total - done);
     const double* const a = answers.data() + done;
     size_t chunk_processed = n;
+    if (has_nu) {
+      pipe.BeginChunk(a, /*thresholds=*/nullptr, done, n);
+      // Word-free tier 1, shared by both kernel modes: a full chunk whose
+      // answers cannot reach the bar even under the largest |ν| any draw
+      // can produce is all ⊥ whatever its words are, so they are owed
+      // instead of generated. Calls shorter than a chunk (the auditor's
+      // tiny RunAppends) never ask, so they pay no extra Log.
+      if (n == kChunkSize &&
+          !pipe.ChunkCanFireAnyNoise(threshold + state_->rho)) {
+        state_->processed += static_cast<int64_t>(n);  // res already ⊥
+        ++state_->batch.tier1_chunks_skipped;
+        ++state_->batch.tier1_chunks_jumped;
+        owed_words += wpv * n;
+        done += n;
+        continue;
+      }
+      if (owed_words > 0) {
+        state_->nu_rng.Discard(owed_words);
+        owed_words = 0;
+      }
+    }
     if (!has_nu) {
       const auto find_next = [a, n, threshold](size_t from, double rho) {
         return vec::FusedScanHit{
@@ -224,12 +251,9 @@ size_t BatchRunner::Run(std::span<const double> answers, double threshold,
       // composition's scans apply, so skip decisions, tier counters, and
       // emitted responses agree between the modes bit for bit —
       // equivalence-tested in core_batch_runner_test.cc.
-      const size_t wpv = WordsPerVariate(spec_.nu_kind);
-      const bool exp_nu = spec_.nu_kind == NoiseKind::kExponential;
       uint64_t span_min[kChunkSize / kBoundSpan];
       BlockRng::State span_states[kChunkSize / kBoundSpan];
 
-      pipe.BeginChunk(a, /*thresholds=*/nullptr, done, n);
       const double nu_scale = spec_.nu_scale;
       const double bar0 = threshold + state_->rho;
       // Any upper bound on the chunk's answers is a sound skip-word input
@@ -417,8 +441,6 @@ size_t BatchRunner::Run(std::span<const double> answers, double threshold,
       // as if each ν_i had been drawn scalar-style. Word count and layout
       // follow the spec's ν kind: Laplace variates are (magnitude, sign)
       // pairs, exponential variates a single magnitude word each.
-      const size_t wpv = WordsPerVariate(spec_.nu_kind);
-      const bool exp_nu = spec_.nu_kind == NoiseKind::kExponential;
       state_->nu_rng.FillUint64({words, wpv * n});
 
       // Per-span magnitude-word minima up front; the pipeline reduces them
@@ -431,7 +453,6 @@ size_t BatchRunner::Run(std::span<const double> answers, double threshold,
       // core/bound_pipeline.h). Shared bound inputs with the megakernel
       // arm keep the two modes' skip decisions and counters equal bit for
       // bit.
-      pipe.BeginChunk(a, /*thresholds=*/nullptr, done, n);
       const size_t nspans = (n + kBoundSpan - 1) / kBoundSpan;
       uint64_t span_min[kChunkSize / kBoundSpan];
       for (size_t j = 0; j < nspans; ++j) {
@@ -498,12 +519,15 @@ size_t BatchRunner::Run(std::span<const double> answers, double threshold,
       }
     }
     if (state_->exhausted) {
+      // Only a chunk that generated its words can exhaust the run, and
+      // the debt was settled before it.
       const size_t emitted = done + chunk_processed;
       out->resize(start + emitted);
       return emitted;
     }
     done += n;
   }
+  if (owed_words > 0) state_->nu_rng.Discard(owed_words);
   return total;
 }
 

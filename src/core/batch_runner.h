@@ -11,7 +11,16 @@
 //     magnitude uniforms bounds every |ν| in the chunk, and when even the
 //     largest answer provably cannot cross the noisy threshold the whole
 //     chunk is emitted as ⊥ without a single log() — the dominant case in
-//     ⊥-heavy SVT workloads, where negatives are free;
+//     ⊥-heavy SVT workloads, where negatives are free. Before any word is
+//     drawn, a full chunk first gets the same test at the worst-case
+//     noise (minimum word 0, |ν| <= ν_scale·53·ln2·slack, one log per
+//     run): a chunk that passes it cannot fire under any draw, so its
+//     words are not generated at all — they are owed, and each run of
+//     such chunks is settled by one Rng::Discard of the ν substream, an
+//     O(log n) jump for all but the shortest runs (counted in
+//     tier1_chunks_jumped). It discharges only
+//     chunks the word-reading test would, so output, counters and stream
+//     position are unchanged (proof in core/bound_pipeline.h);
 //   * otherwise a *fused* single-pass sample-and-scan
 //     (vec::FusedLaplaceScan*): the full Laplace inverse-CDF transform and
 //     the positive test run in the same register pass straight off the raw

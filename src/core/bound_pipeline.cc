@@ -1,6 +1,7 @@
 #include "core/bound_pipeline.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 
 #include "common/check.h"
@@ -52,6 +53,11 @@ void BoundPipeline::BeginChunk(const double* answers, const double* thresholds,
       if (thresholds != nullptr) {
         span_bar_lower_[j] = prefilter_->BarLower(offset + s, m);
       }
+      // A NaN bound fails every prune test and so stays sound, but only by
+      // fall-through: the quantized level would silently stop pruning. The
+      // prefilter's dequantization never produces one; check it here.
+      SVT_DCHECK(!std::isnan(span_upper_[j]));
+      SVT_DCHECK(thresholds == nullptr || !std::isnan(span_bar_lower_[j]));
     } else {
       span_upper_[j] = vec::MaxBlock({answers + s, m});
       if (thresholds != nullptr) {
@@ -80,8 +86,11 @@ void BoundPipeline::BeginChunk(const double* answers, const double* thresholds,
 }
 
 double BoundPipeline::NuBound(std::uint64_t w_min) const {
-  return nu_scale_ * (-vec::Log(Rng::ToUnitDoublePositive(w_min))) *
-         kBoundSlack;
+  const double bound =
+      nu_scale_ * (-vec::Log(Rng::ToUnitDoublePositive(w_min))) *
+      kBoundSlack;
+  SVT_DCHECK(!std::isnan(bound));
+  return bound;
 }
 
 void BoundPipeline::SetNoiseMinima(const std::uint64_t* span_min) {
@@ -149,6 +158,11 @@ bool BoundPipeline::ChunkCanFire(double bar) const {
   // that can fire implies fl(a_i + ν_i) < bar for all i (monotone rounded
   // add) — no element's computed positive test can pass.
   return !(chunk_upper_ + chunk_nu_bound_ < bar);
+}
+
+bool BoundPipeline::ChunkCanFireAnyNoise(double bar) {
+  if (!worst_nu_bound_.has_value()) worst_nu_bound_ = NuBound(0);
+  return !(chunk_upper_ + *worst_nu_bound_ < bar);
 }
 
 bool BoundPipeline::SpanCanFire(size_t j, double bar) {

@@ -64,12 +64,28 @@
 //   consumes this class's score uppers: any up >= max a_i satisfies its
 //   contract, so a quantized upper is as sound a skip-word input as the
 //   exact maximum.
+//
+// Word-free tier-1 (ChunkCanFireAnyNoise): NB(0) >= NB(w_min) for every
+// possible chunk, so the test fl(up + NB(0)) < bar discharges only chunks
+// the word-reading tier-1 test ChunkCanFire also discharges. Word 0 maps
+// to u = 2^-53, the smallest value ToUnitDoublePositive takes; every
+// other word maps to u = 2^-53 (same value) or to u >= 2^-52, where the
+// exact -ln u is at least ln 2 below 53 ln 2 — a gap no few-ulp Log error
+// can close — so -Log(u(0)) >= -Log(u(w)), and the multiplies by
+// nu_scale > 0 and kBoundSlack are monotone. Then fl(up + NB(w_min)) <=
+// fl(up + NB(0)) < bar by the monotone rounded add, with the same `up`
+// on both sides. The engine therefore emits a chunk this test discharges
+// exactly as before (all ⊥, the same counters) and only settles the
+// chunk's n · words-per-variate ν words by a Rng::Discard instead of
+// generating them: responses, every counter, and the ν substream position
+// stay bit-identical. Only the cost changes.
 
 #ifndef SPARSEVEC_CORE_BOUND_PIPELINE_H_
 #define SPARSEVEC_CORE_BOUND_PIPELINE_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 
 #include "core/svt.h"
 #include "data/bound_prefilter.h"
@@ -139,6 +155,15 @@ class BoundPipeline {
   /// common bar. Pure — the caller counts tier1_chunks_skipped.
   bool ChunkCanFire(double bar) const;
 
+  /// Word-free tier-1: ChunkCanFire evaluated as if the chunk's minimum
+  /// magnitude word were 0 — the largest |ν| any draw can produce — so it
+  /// needs no noise minima and its chunk's words need never be generated.
+  /// False implies ChunkCanFire(bar) is false for every possible set of
+  /// minima (proof above). The worst-case bound costs one Log, paid on the
+  /// first call and cached for the rest of the run. Valid after
+  /// BeginChunk.
+  bool ChunkCanFireAnyNoise(double bar);
+
   /// Tier-2 span tests. False means provably no element fires; these
   /// count tier2_spans_skipped (and bound_spans_pruned_q when the
   /// quantized level decided) per CALL, i.e. per span visit — revisits
@@ -167,6 +192,7 @@ class BoundPipeline {
   bool span_nu_ready_ = false;
   double chunk_upper_ = 0.0;
   double chunk_nu_bound_ = 0.0;
+  std::optional<double> worst_nu_bound_;  // NuBound(0), on first use
   std::uint64_t span_min_[kMaxSpans];
   double span_upper_[kMaxSpans];
   double span_bar_lower_[kMaxSpans];

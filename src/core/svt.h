@@ -115,6 +115,12 @@ struct BatchRunStats {
   /// Chunks proven all-⊥ by the tier-1 bound: emitted without
   /// materializing a single ν (the log-free fast path).
   int64_t tier1_chunks_skipped = 0;
+  /// The subset of tier1_chunks_skipped proven all-⊥ before any of their
+  /// ν words existed (BoundPipeline::ChunkCanFireAnyNoise): the engine
+  /// settles their words with one Rng::Discard jump instead of generating
+  /// them. Full common-threshold chunks only; never exceeds
+  /// tier1_chunks_skipped.
+  int64_t tier1_chunks_jumped = 0;
   /// Chunks that ran the tier-2 fused sample-and-scan over their raw ν
   /// words (includes every per-query-threshold chunk with query noise).
   int64_t tier2_chunks_scanned = 0;
@@ -226,8 +232,11 @@ struct SvtRunState {
 /// consumes exactly n · words-per-variate words whether it scans, skips,
 /// or records hits, so the stream position after any chunk is the same as
 /// the composition's — checkpoint/restore of BlockRng::State moves the
-/// cursor, never the stream. SVT_BATCH_KERNELS=composition forces the
-/// FillUint64 + fused-scan composition path; both modes emit identical
+/// cursor, never the stream. A chunk the word-free tier-1 test discharges
+/// consumes its words too, without generating them: Rng::Discard jumps the
+/// substream to exactly where drawing them would have left it.
+/// SVT_BATCH_KERNELS=composition forces the FillUint64 + fused-scan
+/// composition path; both modes emit identical
 /// Responses (tests/core_batch_runner_test.cc diffs them per dispatch
 /// level) and no golden re-record accompanied the megakernels.
 ///
@@ -281,6 +290,10 @@ class SpecDrivenSvt : public SvtMechanism {
   /// tier-1 bound skipped vs how many ran the tier-2 transform scan.
   /// Diagnostics only — outputs never depend on the tier taken.
   const BatchRunStats& batch_stats() const { return state_.batch; }
+
+  /// Position of the ν substream (contract step 2) — the equivalence tests
+  /// pin that a batch leaves it exactly where the streaming loop does.
+  Rng::State nu_stream_state() const { return state_.nu_rng.state(); }
 
  protected:
   SpecDrivenSvt(VariantSpec spec, Rng* rng);

@@ -110,11 +110,20 @@ void QuantizeUp(std::span<const double> values, double scale, double offset,
   }
 }
 
-// Bar side: codes 1..max affine, code 0 = -inf sentinel. Invariant:
-// Dequant(code_i) <= v_i for non-NaN v_i (NaN bars can never fire and get
-// the top code so they don't deflate the span min).
+// Bar side: code 0 = -inf sentinel, codes c >= 1 affine with code 1
+// anchored at the finite range minimum: DequantBar(c) = lo + scale*(c-1).
+// Anchoring at the finite lo keeps every sum finite plus nonnegative, so
+// no code can dequantize to -inf + inf = NaN even when lo sits near
+// -DBL_MAX. Invariant: DequantBar(c_i)
+// <= v_i for non-NaN v_i (NaN bars can never fire and get the top code so
+// they don't deflate the span min).
 template <typename Code>
-void QuantizeDown(std::span<const double> values, double scale, double offset,
+double DequantBar(double scale, double lo, Code code) {
+  return code == 0 ? -kInf : Dequant(scale, lo, code - 1);
+}
+
+template <typename Code>
+void QuantizeDown(std::span<const double> values, double scale, double lo,
                   std::vector<Code>* out) {
   constexpr Code kMax = std::numeric_limits<Code>::max();
   out->resize(values.size());
@@ -124,13 +133,13 @@ void QuantizeDown(std::span<const double> values, double scale, double offset,
       (*out)[i] = kMax;
       continue;
     }
-    double cand = std::floor((v - offset) / scale);
+    double cand = std::floor((v - lo) / scale) + 1.0;
     if (!(cand >= 1.0)) cand = 1.0;
     if (cand > static_cast<double>(kMax)) cand = static_cast<double>(kMax);
     Code c = static_cast<Code>(cand);
-    while (c > 0 && Dequant(scale, offset, c) > v) --c;
-    for (int t = 0; t < 4 && c < kMax && Dequant(scale, offset, c + 1) <= v;
-         ++t) {
+    while (c > 0 && DequantBar(scale, lo, c) > v) --c;
+    for (int t = 0;
+         t < 4 && c < kMax && DequantBar(scale, lo, Code(c + 1)) <= v; ++t) {
       ++c;
     }
     (*out)[i] = c;
@@ -142,11 +151,6 @@ double DequantScoreUpper(double scale, double offset, Code span_max) {
   return span_max == std::numeric_limits<Code>::max()
              ? kInf
              : Dequant(scale, offset, span_max);
-}
-
-template <typename Code>
-double DequantBarLower(double scale, double offset, Code span_min) {
-  return span_min == 0 ? -kInf : Dequant(scale, offset, span_min);
 }
 
 }  // namespace
@@ -186,14 +190,13 @@ BoundPrefilter BoundPrefilter::Build(std::span<const double> answers,
   BoundPrefilter pf = Build(answers);
   pf.has_thresholds_ = true;
   const ValueRange r = ScanRange(thresholds);
+  pf.bar_lo_ = r.lo;
   if (r.u8_exact) {
     pf.bar_scale_ = 1.0;
-    pf.bar_offset_ = r.lo - 1.0;  // code 0 is the -inf sentinel
-    QuantizeDown(thresholds, pf.bar_scale_, pf.bar_offset_, &pf.bar8_);
+    QuantizeDown(thresholds, pf.bar_scale_, pf.bar_lo_, &pf.bar8_);
   } else {
     pf.bar_scale_ = SafeScale(r.lo, r.hi, 65534.0);
-    pf.bar_offset_ = r.lo - pf.bar_scale_;
-    QuantizeDown(thresholds, pf.bar_scale_, pf.bar_offset_, &pf.bar16_);
+    QuantizeDown(thresholds, pf.bar_scale_, pf.bar_lo_, &pf.bar16_);
   }
   return pf;
 }
@@ -214,11 +217,11 @@ double BoundPrefilter::BarLower(size_t begin, size_t len) const {
   SVT_DCHECK(has_thresholds_);
   SVT_DCHECK(len >= 1 && begin + len <= size_);
   if (!bar8_.empty()) {
-    return DequantBarLower(bar_scale_, bar_offset_,
-                           vec::QuantizedSpanMin({bar8_.data() + begin, len}));
+    return DequantBar(bar_scale_, bar_lo_,
+                      vec::QuantizedSpanMin({bar8_.data() + begin, len}));
   }
-  return DequantBarLower(bar_scale_, bar_offset_,
-                         vec::QuantizedSpanMin({bar16_.data() + begin, len}));
+  return DequantBar(bar_scale_, bar_lo_,
+                    vec::QuantizedSpanMin({bar16_.data() + begin, len}));
 }
 
 }  // namespace svt

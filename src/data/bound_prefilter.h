@@ -28,9 +28,11 @@
 //   * bar side (thresholds), rounded toward -inf: every element satisfies
 //     DequantBar(code_i) <= thresholds[i], same build-time fixup. Code 0
 //     is a -inf sentinel (a span containing a -inf threshold is never
-//     pruned); NaN thresholds map to the top code — an element whose bar
-//     is NaN can never fire (a + nu >= NaN is false), so it needs no
-//     bound and must not deflate its span's min.
+//     pruned) and code 1 is anchored at the finite range minimum, so no
+//     code dequantizes to NaN even for thresholds near -DBL_MAX. NaN
+//     thresholds map to the top code — an element whose bar is NaN can
+//     never fire (a + nu >= NaN is false), so it needs no bound and must
+//     not deflate its span's min.
 //
 // Dequantization is monotone in the code (scale > 0; correctly-rounded
 // multiply and add are monotone), so dequant(max code over a span) >=
@@ -97,7 +99,7 @@ class BoundPrefilter {
   // is populated (8-bit when the finite values embed exactly as integers
   // in a 254-wide range, else 16-bit).
   double score_scale_ = 1.0, score_offset_ = 0.0;
-  double bar_scale_ = 1.0, bar_offset_ = 0.0;
+  double bar_scale_ = 1.0, bar_lo_ = 0.0;  // code c >= 1: lo + scale*(c-1)
   std::vector<std::uint16_t> score16_, bar16_;
   std::vector<std::uint8_t> score8_, bar8_;
 };

@@ -6,11 +6,14 @@
 // implementation; (c) golden values lock the SplitMix64 and interleaved
 // streams across platforms (pure integer ops, so any compliant
 // implementation must reproduce them exactly — the SplitMix64 seed-0
-// values also match the published reference outputs).
+// values also match the published reference outputs); (d) Discard's
+// jump lands exactly where the skipped Next() calls would, and its
+// polynomial arithmetic reproduces xoshiro's published jump constants.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -467,6 +470,74 @@ TEST(MegakernelStreamTest, MegaScanLeavesRngAtTheFillPosition) {
       from += hit.index + 1;
     }
   }
+}
+
+// Walks `rng` forward n outputs the slow way: one NextUint64 per word.
+void StepScalar(Rng* rng, uint64_t n) {
+  for (uint64_t i = 0; i < n; ++i) rng->NextUint64();
+}
+
+void ExpectSameState(const Rng& a, const Rng& b, const std::string& ctx) {
+  const Rng::State sa = a.state(), sb = b.state();
+  EXPECT_EQ(sa.phase, sb.phase) << ctx;
+  EXPECT_EQ(sa.words, sb.words) << ctx;
+}
+
+TEST(DiscardTest, EqualsNextCallsAtEveryPhaseAndLevel) {
+  // Both sides of the jump/generate crossover, the engine's chunk sizes
+  // (2048 and 4096 words), and a jump followed by a sub-step tail, from
+  // every lane phase — at every dispatch level, since the generated
+  // remainder runs the dispatched fill kernels.
+  ScopedDispatchLevel restore;
+  const uint64_t kMin = BlockRng::kDiscardJumpMinWords;
+  for (vec::DispatchLevel level : vec::kAllDispatchLevels) {
+    if (!vec::SetDispatchLevel(level)) continue;
+    for (uint64_t n : {uint64_t{0}, uint64_t{1}, uint64_t{3}, kMin - 1, kMin,
+                       kMin + 1, uint64_t{2048}, uint64_t{4096},
+                       (uint64_t{1} << 20) + 3}) {
+      for (uint64_t pre : {0u, 1u, 2u, 3u}) {
+        Rng jumped(606), walked(606);
+        StepScalar(&jumped, pre);
+        StepScalar(&walked, pre);
+        jumped.Discard(n);
+        StepScalar(&walked, n);
+        const std::string ctx = std::string(vec::DispatchLevelName(level)) +
+                                " n=" + std::to_string(n) +
+                                " pre=" + std::to_string(pre);
+        ExpectSameState(jumped, walked, ctx);
+        ASSERT_EQ(jumped.NextUint64(), walked.NextUint64()) << ctx;
+      }
+    }
+  }
+}
+
+TEST(DiscardTest, SplitDiscardsCompose) {
+  // The jump is T^k on a linear map, so splitting a discard anywhere —
+  // including off the lane grid and off the crossover grid — lands on
+  // the same state as one discard of the sum. These step counts have
+  // several set bits, so StepPoly multiplies table entries together.
+  const uint64_t a = (uint64_t{1} << 33) + 12345, b = (uint64_t{3} << 40) + 7;
+  Rng split(17), whole(17);
+  split.Discard(a);
+  split.Discard(b);
+  whole.Discard(a + b);
+  ExpectSameState(split, whole, "a+b");
+  ASSERT_EQ(split.NextUint64(), whole.NextUint64());
+}
+
+TEST(DiscardTest, CharacteristicPolynomialReproducesPublishedJumps) {
+  // x^(2^128) and x^(2^192) mod P are xoshiro256's published JUMP and
+  // LONG_JUMP constants: the characteristic polynomial, the MulMod that
+  // squares with it, and the coefficient layout all agree with the
+  // reference generator. StepPoly covers 2^63; the rest is squaring.
+  using xoshiro_poly::Poly;
+  Poly p = xoshiro_poly::StepPoly(uint64_t{1} << 63);
+  for (int i = 63; i < 128; ++i) p = xoshiro_poly::MulMod(p, p);
+  EXPECT_EQ(p, (Poly{0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL,
+                     0xa9582618e03fc9aaULL, 0x39abdc4529b1661cULL}));
+  for (int i = 128; i < 192; ++i) p = xoshiro_poly::MulMod(p, p);
+  EXPECT_EQ(p, (Poly{0x76e15d3efefdcbbfULL, 0xc5004e441c522fb3ULL,
+                     0x77710069854ee241ULL, 0x39109bb02acbe635ULL}));
 }
 
 }  // namespace

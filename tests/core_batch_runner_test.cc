@@ -13,6 +13,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -370,6 +371,8 @@ TEST(BatchRunnerTest, BatchOutputIndependentOfDispatchLevel) {
                             vec::DispatchLevelName(level));
     EXPECT_EQ(simd_mech->batch_stats().tier1_chunks_skipped,
               scalar_stats.tier1_chunks_skipped);
+    EXPECT_EQ(simd_mech->batch_stats().tier1_chunks_jumped,
+              scalar_stats.tier1_chunks_jumped);
     EXPECT_EQ(simd_mech->batch_stats().tier2_chunks_scanned,
               scalar_stats.tier2_chunks_scanned);
     EXPECT_EQ(simd_mech->positives_emitted(),
@@ -377,6 +380,8 @@ TEST(BatchRunnerTest, BatchOutputIndependentOfDispatchLevel) {
   }
   EXPECT_GT(scalar_stats.tier1_chunks_skipped, 0);
   EXPECT_GT(scalar_stats.tier2_chunks_scanned, 0);
+  // The far-below chunk cannot fire under any draw: jumped, not generated.
+  EXPECT_EQ(scalar_stats.tier1_chunks_jumped, 1);
 }
 
 TEST(BatchRunnerTest, PerQueryThresholdNearThresholdAcrossDispatchLevels) {
@@ -401,8 +406,11 @@ TEST(BatchRunnerTest, PerQueryThresholdNearThresholdAcrossDispatchLevels) {
       answers[i] = (-6.0 + (gen.NextDouble() - 0.5)) * nu_scale;
       thresholds[i] = (gen.NextDouble() - 0.5) * nu_scale;
     }
-    // A bar pattern that ties exactly at a chunk boundary answer.
-    thresholds[BatchRunner::kChunkSize] = answers[BatchRunner::kChunkSize];
+    // A bar pattern that ties exactly at a chunk boundary answer (only
+    // where the batch reaches one: n = 613 has no such index).
+    if (n > BatchRunner::kChunkSize) {
+      thresholds[BatchRunner::kChunkSize] = answers[BatchRunner::kChunkSize];
+    }
 
     // Scalar streaming is the reference for every (level, path) pair.
     ASSERT_TRUE(vec::SetDispatchLevel(vec::DispatchLevel::kScalar));
@@ -540,6 +548,7 @@ TEST(BatchRunnerTest, InterleavedCommonAndPerQueryRunAppendAcrossLevels) {
       scalar_stats = st;
     } else {
       EXPECT_EQ(st.tier1_chunks_skipped, scalar_stats->tier1_chunks_skipped);
+      EXPECT_EQ(st.tier1_chunks_jumped, scalar_stats->tier1_chunks_jumped);
       EXPECT_EQ(st.tier2_chunks_scanned, scalar_stats->tier2_chunks_scanned);
       EXPECT_EQ(st.tier2_fused_segments, scalar_stats->tier2_fused_segments);
       EXPECT_EQ(st.tier2_fused_subblocks,
@@ -805,6 +814,8 @@ TEST(BatchRunnerTest, MegakernelAndCompositionModesAgreeExactly) {
       EXPECT_EQ(mega.processed, comp.processed) << ctx;
       EXPECT_EQ(mega.stats.tier1_chunks_skipped, comp.stats.tier1_chunks_skipped)
           << ctx;
+      EXPECT_EQ(mega.stats.tier1_chunks_jumped, comp.stats.tier1_chunks_jumped)
+          << ctx;
       EXPECT_EQ(mega.stats.tier2_chunks_scanned, comp.stats.tier2_chunks_scanned)
           << ctx;
       EXPECT_EQ(mega.stats.tier2_fused_segments, comp.stats.tier2_fused_segments)
@@ -822,6 +833,8 @@ TEST(BatchRunnerTest, MegakernelAndCompositionModesAgreeExactly) {
           << ctx;
       EXPECT_GT(mega.stats.tier1_chunks_skipped, 0) << ctx;
       EXPECT_GT(mega.stats.tier2_spans_skipped, 0) << ctx;
+      // The far run's two full chunks are jumped; its partial tail is not.
+      EXPECT_EQ(mega.stats.tier1_chunks_jumped, 2) << ctx;
       // The per-query run's far-below spans have finite skip words, so the
       // skip counter moves; ρ never resamples here, so no resume enters
       // under a moved ρ in either mode.
@@ -1113,6 +1126,221 @@ TEST(BatchRunnerTest, TinyAndOddSizedBatchesMatchStreaming) {
     }
   }
 }
+
+// --- word-free tier 1: chunks jumped without generating their ν words ---
+
+// Every BatchRunStats counter must agree between runs that differ only in
+// dispatch level or kernel mode.
+void ExpectSameStats(const BatchRunStats& a, const BatchRunStats& b,
+                     const std::string& ctx) {
+  EXPECT_EQ(a.tier1_chunks_skipped, b.tier1_chunks_skipped) << ctx;
+  EXPECT_EQ(a.tier1_chunks_jumped, b.tier1_chunks_jumped) << ctx;
+  EXPECT_EQ(a.tier2_chunks_scanned, b.tier2_chunks_scanned) << ctx;
+  EXPECT_EQ(a.tier2_fused_segments, b.tier2_fused_segments) << ctx;
+  EXPECT_EQ(a.tier2_spans_skipped, b.tier2_spans_skipped) << ctx;
+  EXPECT_EQ(a.tier2_fused_subblocks, b.tier2_fused_subblocks) << ctx;
+  EXPECT_EQ(a.bound_spans_pruned_q, b.bound_spans_pruned_q) << ctx;
+  EXPECT_EQ(a.bound_bytes_touched, b.bound_bytes_touched) << ctx;
+  EXPECT_EQ(a.mega_words_skipped_q, b.mega_words_skipped_q) << ctx;
+  EXPECT_EQ(a.replay_rederivations, b.replay_rederivations) << ctx;
+}
+
+void ExpectSameState(const Rng::State& a, const Rng::State& b,
+                     const std::string& ctx) {
+  EXPECT_EQ(a.phase, b.phase) << ctx;
+  EXPECT_EQ(a.words, b.words) << ctx;
+}
+
+// Answers laid out chunk by chunk, in units of the ν scale:
+//   F  far below: no draw can reach the bar, so the chunk is jumped;
+//   M  -20 scales: out of reach of the chunk's actual words (word-reading
+//      tier 1 skips it) but not of the worst-case draw, so its words are
+//      generated — it settles any owed words before it;
+//   N  far below except every 97th answer one scale under the bar: tier 2
+//      with a few positives, each resampling ρ;
+//   H  every answer one scale under the bar: a cutoff exhausts quickly.
+// `tail` answers of the last letter's kind follow as a partial chunk.
+std::vector<double> ChunkLayout(const std::string& layout, size_t tail,
+                                double nu_scale) {
+  const auto value = [nu_scale](char kind, size_t i) {
+    switch (kind) {
+      case 'F':
+        return -200.0 * nu_scale;
+      case 'M':
+        return -20.0 * nu_scale;
+      case 'N':
+        return (i % 97 == 0 ? -1.0 : -200.0) * nu_scale;
+      default:
+        return -1.0 * nu_scale;
+    }
+  };
+  std::vector<double> answers;
+  for (size_t c = 0; c < layout.size(); ++c) {
+    const size_t n = BatchRunner::kChunkSize + (c + 1 == layout.size() ? tail
+                                                                       : 0);
+    for (size_t i = 0; i < n; ++i) answers.push_back(value(layout[c], i));
+  }
+  return answers;
+}
+
+// Resampling (ρ redrawn after every positive) mechanisms of either ν kind.
+std::unique_ptr<SpecDrivenSvt> MakeResamplingMechanism(NoiseKind nu_kind,
+                                                       int cutoff, Rng* rng) {
+  if (nu_kind == NoiseKind::kExponential) {
+    VariantSpec spec = AllExponentialSpec();
+    spec.cutoff = cutoff;
+    spec.resample_rho_after_positive = true;
+    spec.rho_resample_scale = 1.0;
+    return std::make_unique<CustomSvt>(spec, rng);
+  }
+  SvtOptions o;
+  o.epsilon = 0.5;
+  o.cutoff = cutoff;
+  o.resample_threshold_noise = true;
+  return SparseVector::Create(o, rng).value();
+}
+
+class WordFreeTier1 : public ::testing::TestWithParam<
+                          std::tuple<NoiseKind, BatchKernelMode>> {};
+
+TEST_P(WordFreeTier1, JumpedChunksMatchStreaming) {
+  // Runs of far-below chunks (jumped: their words are owed and settled by
+  // one Discard) alternate with chunks that generate words, across
+  // back-to-back runs so a debt left at a run's end would shift the next
+  // run's draws. Responses and the ν substream position must equal the
+  // streaming loop's after every run; the counters are exact and equal at
+  // every dispatch level.
+  const auto [nu_kind, mode] = GetParam();
+  ScopedDispatchLevel restore_level;
+  ScopedBatchKernelMode restore_mode(mode);
+  const std::string kind = nu_kind == NoiseKind::kExponential ? "exp" : "lap";
+
+  std::optional<BatchRunStats> first_stats;
+  for (vec::DispatchLevel level : vec::kAllDispatchLevels) {
+    if (!vec::SetDispatchLevel(level)) continue;
+    const std::string ctx = kind + " " + vec::DispatchLevelName(level);
+    Rng rng_batch(2029), rng_stream(2029);
+    auto batch = MakeResamplingMechanism(nu_kind, 1000, &rng_batch);
+    auto stream = MakeResamplingMechanism(nu_kind, 1000, &rng_stream);
+    const double nu = batch->spec().nu_scale;
+    // Ends on a partial far chunk (never jumped: shorter than a chunk),
+    // then on jumped chunks (settled only when the run returns).
+    const std::vector<double> runs[] = {ChunkLayout("FFNFFFMNF", 1000, nu),
+                                        ChunkLayout("NFF", 0, nu),
+                                        ChunkLayout("FFNFFFMNF", 1000, nu)};
+    for (size_t r = 0; r < std::size(runs); ++r) {
+      const std::string rctx = ctx + " run " + std::to_string(r);
+      const std::vector<Response> got = batch->Run(runs[r], 0.0);
+      std::vector<Response> want;
+      for (double a : runs[r]) want.push_back(stream->Process(a, 0.0));
+      ExpectSameResponses(got, want, rctx);
+      ExpectSameState(batch->nu_stream_state(), stream->nu_stream_state(),
+                      rctx);
+    }
+    EXPECT_FALSE(batch->exhausted()) << ctx;
+    EXPECT_EQ(batch->positives_emitted(), stream->positives_emitted()) << ctx;
+    EXPECT_GT(batch->positives_emitted(), 5) << ctx;
+    EXPECT_EQ(batch->queries_processed(), stream->queries_processed()) << ctx;
+
+    const BatchRunStats& st = batch->batch_stats();
+    // 14 full F chunks are jumped; the two M chunks and the two partial
+    // far tails are skipped from their words; the five N chunks scan.
+    EXPECT_EQ(st.tier1_chunks_jumped, 14) << ctx;
+    EXPECT_EQ(st.tier1_chunks_skipped, 18) << ctx;
+    EXPECT_EQ(st.tier2_chunks_scanned, 5) << ctx;
+    EXPECT_GT(st.replay_rederivations, 0) << ctx;
+    if (!first_stats.has_value()) {
+      first_stats = st;
+    } else {
+      ExpectSameStats(st, *first_stats, ctx);
+    }
+  }
+}
+
+TEST_P(WordFreeTier1, CutoffInTheFirstChunkAfterAJumpedRun) {
+  // The owed words of a jumped run must be settled before the next chunk
+  // draws: here that chunk exhausts the cutoff within its first few
+  // answers. After a cutoff abort the batch leaves the substream at the
+  // end of the exhausting chunk (every chunk that draws consumes all its
+  // words), i.e. the streaming position plus the chunk's unread rest.
+  const auto [nu_kind, mode] = GetParam();
+  ScopedDispatchLevel restore_level;
+  ScopedBatchKernelMode restore_mode(mode);
+  const std::string kind = nu_kind == NoiseKind::kExponential ? "exp" : "lap";
+  const size_t wpv = nu_kind == NoiseKind::kExponential ? 1 : 2;
+
+  std::optional<BatchRunStats> first_stats;
+  for (vec::DispatchLevel level : vec::kAllDispatchLevels) {
+    if (!vec::SetDispatchLevel(level)) continue;
+    const std::string ctx = kind + " " + vec::DispatchLevelName(level);
+    Rng rng_batch(88), rng_stream(88);
+    auto batch = MakeResamplingMechanism(nu_kind, 3, &rng_batch);
+    auto stream = MakeResamplingMechanism(nu_kind, 3, &rng_stream);
+    const std::vector<double> answers =
+        ChunkLayout("FFFHF", 5, batch->spec().nu_scale);
+    const std::vector<Response> got = batch->Run(answers, 0.0);
+    std::vector<Response> want;
+    for (double a : answers) {
+      if (stream->exhausted()) break;
+      want.push_back(stream->Process(a, 0.0));
+    }
+    ExpectSameResponses(got, want, ctx);
+    ASSERT_TRUE(batch->exhausted()) << ctx;
+    const size_t processed = static_cast<size_t>(stream->queries_processed());
+    ASSERT_GT(processed, 3 * BatchRunner::kChunkSize) << ctx;
+    ASSERT_LE(processed, 4 * BatchRunner::kChunkSize) << ctx;
+
+    Rng rest(stream->nu_stream_state());
+    for (size_t i = processed; i < 4 * BatchRunner::kChunkSize; ++i) {
+      for (size_t w = 0; w < wpv; ++w) rest.NextUint64();
+    }
+    ExpectSameState(batch->nu_stream_state(), rest.state(), ctx);
+
+    const BatchRunStats& st = batch->batch_stats();
+    EXPECT_EQ(st.tier1_chunks_jumped, 3) << ctx;
+    EXPECT_EQ(st.tier1_chunks_skipped, 3) << ctx;
+    EXPECT_EQ(st.tier2_chunks_scanned, 1) << ctx;
+    if (!first_stats.has_value()) {
+      first_stats = st;
+    } else {
+      ExpectSameStats(st, *first_stats, ctx);
+    }
+  }
+}
+
+TEST(BatchRunnerTest, BottomDominatedMillionJumpsEveryChunk) {
+  // The ⊥-dominated 2^20-query batch of BM_SvtRunBatch: all 512 chunks are
+  // jumped, across Reset cycles, and the substream still lands exactly
+  // where 2^20 streaming draws put it.
+  SvtOptions o;
+  o.epsilon = 0.1;
+  o.cutoff = 1 << 20;
+  o.monotonic = true;
+  Rng rng_batch(5), rng_stream(5);
+  auto batch = SparseVector::Create(o, &rng_batch).value();
+  auto stream = SparseVector::Create(o, &rng_stream).value();
+  const std::vector<double> answers(size_t{1} << 20, -1e12);
+  for (int cycle = 0; cycle < 2; ++cycle) {
+    const std::string ctx = "cycle " + std::to_string(cycle);
+    std::vector<Response> out;
+    ASSERT_EQ(batch->RunAppend(answers, 0.0, &out), answers.size()) << ctx;
+    for (double a : answers) stream->Process(a, 0.0);
+    EXPECT_EQ(batch->positives_emitted(), stream->positives_emitted()) << ctx;
+    ExpectSameState(batch->nu_stream_state(), stream->nu_stream_state(), ctx);
+    const BatchRunStats& st = batch->batch_stats();
+    EXPECT_EQ(st.tier1_chunks_jumped, 512) << ctx;
+    EXPECT_LE(st.tier1_chunks_jumped, st.tier1_chunks_skipped) << ctx;
+    batch->Reset();
+    stream->Reset();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    NoiseKindsAndKernelModes, WordFreeTier1,
+    ::testing::Combine(::testing::Values(NoiseKind::kLaplace,
+                                         NoiseKind::kExponential),
+                       ::testing::Values(BatchKernelMode::kMegakernel,
+                                         BatchKernelMode::kComposition)));
 
 }  // namespace
 }  // namespace svt
