@@ -30,7 +30,7 @@ BENCH_B="${BENCH_B:-$BENCH}"
 REPS="${REPS:-5}"
 MIN_TIME="${MIN_TIME:-0.25}"
 MIN_TIME="${MIN_TIME%s}"
-FILTER="${1:-BM_SvtRunBatch/|BM_SvtRunBatchNearThreshold|BM_SvtRunBatchPerQueryNearThreshold|BM_SvtRunBatchResampleNearThreshold|BM_FusedLaplaceScanSumGePairwise|BM_RngFillUint64|BM_RngDiscard|BM_LaplaceSampleBlock}"
+FILTER="${1:-BM_SvtRunBatch/|BM_SvtRunBatchNearThreshold|BM_SvtRunBatchPerQueryNearThreshold|BM_SvtRunBatchResampleNearThreshold|BM_MegaLaplaceScanSumGe|BM_RngFillUint64|BM_RngDiscard|BM_LaplaceSampleBlock}"
 FILTER_B="${2:-}"
 
 for bin in "$BENCH" "$BENCH_B"; do

@@ -223,12 +223,14 @@ uint64_t BlockRng::Next() {
   return result;
 }
 
-size_t BlockRng::FillAlignedPrefix(std::span<uint64_t> out) {
-  // The stream-walking core shared by Fill and FillBounded: scalar until
-  // the next output is lane 0's (a lane-aligned stream position), then
-  // lockstep whole steps — never a partial step. Lives exactly once so
-  // the "one identical stream at every level" contract has one
-  // implementation to audit.
+void BlockRng::Fill(std::span<uint64_t> out) {
+  // The one stream-walking core: scalar until the next output is lane 0's
+  // (a lane-aligned stream position), then lockstep whole steps, then a
+  // scalar tail for the trailing partial step. Lives exactly once so the
+  // "one identical stream at every level" contract has one implementation
+  // to audit. An empty span may carry a null data(); bail before the
+  // pointer arithmetic below.
+  if (out.empty()) return;
   uint64_t* p = out.data();
   uint64_t* const end = p + out.size();
   while (phase_ != 0 && p < end) *p++ = Next();
@@ -237,27 +239,7 @@ size_t BlockRng::FillAlignedPrefix(std::span<uint64_t> out) {
     FillLockstep(&s_[0][0], p, steps);
     p += steps * kLanes;
   }
-  return static_cast<size_t>(p - out.data());
-}
-
-void BlockRng::Fill(std::span<uint64_t> out) {
-  // An empty span may carry a null data(); bail before the pointer
-  // arithmetic below.
-  if (out.empty()) return;
-  // Aligned prefix, then a scalar tail for the trailing partial step.
-  uint64_t* p = out.data() + FillAlignedPrefix(out);
-  uint64_t* const end = out.data() + out.size();
   while (p < end) *p++ = Next();
-}
-
-size_t BlockRng::FillBounded(std::span<uint64_t> out) {
-  if (out.empty()) return 0;
-  const size_t filled = FillAlignedPrefix(out);
-  if (filled > 0) return filled;
-  // The span is smaller than one step at an aligned position: fill it all
-  // scalar so a caller looping toward a fixed word count terminates.
-  for (uint64_t& w : out) w = Next();
-  return out.size();
 }
 
 void BlockRng::Discard(uint64_t n) {
@@ -315,10 +297,6 @@ uint64_t Rng::NextBounded(uint64_t bound) {
 }
 
 void Rng::FillUint64(std::span<uint64_t> out) { core_.Fill(out); }
-
-size_t Rng::FillUint64Bounded(std::span<uint64_t> out) {
-  return core_.FillBounded(out);
-}
 
 namespace {
 

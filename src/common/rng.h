@@ -83,17 +83,6 @@ class BlockRng {
   /// at every dispatch level.
   void Fill(std::span<uint64_t> out);
 
-  /// Bounded fill for fused single-pass consumers (the batch engine's
-  /// sub-block loop): fills the largest prefix of `out` that leaves the
-  /// stream at a lane-aligned position — any phase catch-up words followed
-  /// by whole lockstep steps — so repeated bounded fills always execute
-  /// the SIMD lockstep kernel and never strand the generator mid-step.
-  /// Returns the number of words written; they are exactly the next k
-  /// outputs of Next(). When the rule would write nothing (out smaller
-  /// than one step at an aligned position) the whole span is filled
-  /// scalar instead, so callers looping to a byte budget always progress.
-  size_t FillBounded(std::span<uint64_t> out);
-
   /// Advances the stream by n outputs without producing them: afterwards
   /// the generator is exactly where n Next() calls would leave it, at
   /// every dispatch level. Below kDiscardJumpMinWords the words are
@@ -125,11 +114,6 @@ class BlockRng {
 
  private:
   uint64_t StepLane(size_t lane);
-
-  /// Shared core of Fill/FillBounded: phase catch-up words, then whole
-  /// lockstep steps; returns how many words were written (stops at the
-  /// last lane-aligned position within `out`).
-  size_t FillAlignedPrefix(std::span<uint64_t> out);
 
   // Structure-of-arrays across lanes: s_[w][lane] is state word w of lane
   // `lane`, so the SIMD kernels load state word w of all lanes with one
@@ -217,12 +201,6 @@ class Rng {
   /// lane-aligned (see BlockRng::Fill). The sequence is identical to
   /// calling NextUint64() out.size() times, at every dispatch level.
   void FillUint64(std::span<uint64_t> out);
-
-  /// Bounded variant (BlockRng::FillBounded): fills a lane-aligned prefix
-  /// of `out` and returns its length — the hook the batch engine's fused
-  /// scan paths pull L1-resident word sub-blocks through. Looping until a
-  /// target count is reached consumes exactly the FillUint64 stream.
-  size_t FillUint64Bounded(std::span<uint64_t> out);
 
   /// Advances past the next n NextUint64() outputs without producing them
   /// (BlockRng::Discard) — how the batch engine settles the ν words of

@@ -19,10 +19,10 @@
 // operation: every step is a correctly-rounded IEEE double op (+ - * /) or
 // an exact integer manipulation, and no FMA contraction can occur
 // (explicit non-fused intrinsics here; -ffp-contract=off for the scalar
-// lane, set in CMakeLists.txt). Lanes holding operands outside the fast
-// path's domain (zero/subnormal/negative/non-finite for Log, |x| > 700 or
-// NaN for Exp) are patched with the scalar kernel after the vector store,
-// so every special case has exactly one implementation. The AVX-512 lane
+// lane, set in CMakeLists.txt). Lanes holding operands outside Log's fast
+// path domain (zero/subnormal/negative/non-finite) are patched with the
+// scalar kernel after the vector store, so every special case has exactly
+// one implementation. Exp has only the scalar lane. The AVX-512 lane
 // additionally uses the exact integer<->double conversions AVX-512DQ
 // provides (cvtepu64_pd / cvtepi64_pd / cvtpd_epi64) where the AVX2 lane
 // rebuilds them from 32-bit halves — both are exact for the magnitudes
@@ -229,7 +229,14 @@ bool SetDispatchLevel(DispatchLevel level) {
   return true;
 }
 
-double Log(double x) {
+// noipa: the SIMD megakernels run their sub-group tails through scalar
+// code that calls Log. When GCC may see which registers Log clobbers, it
+// keeps 512-bit values live across the call and then cannot emit the
+// vzeroupper before it, so this SSE-encoded body runs with dirty upper
+// state — a 4-element fill-min-scan measured 4x slower that way on an
+// AVX-512 Xeon. Treated as opaque, the call clobbers every vector register
+// and gets its vzeroupper.
+__attribute__((noipa)) double Log(double x) {
   uint64_t bits = std::bit_cast<uint64_t>(x);
   int64_t k = 0;
   if (bits < 0x0010000000000000ull || bits >= 0x7FF0000000000000ull) {
@@ -326,9 +333,10 @@ double NegLogUnitPositive(uint64_t word) {
 namespace {
 
 // The word-pair → Laplace(mu, b) transform of one element, shared by the
-// fused scan kernels' scalar lane and every SIMD lane's sub-width tail.
+// megakernels' scalar lanes and every SIMD lane's sub-width tail.
 // Operation for operation the scalar body of LaplaceTransformBlock — the
-// fused kernels are *defined* by this composition.
+// megakernels are *defined* by FillUint64 + that transform + the streaming
+// positive test.
 inline double LaplaceNuScalar(uint64_t w_mag, uint64_t w_sign, double mu,
                               double b) {
   const double e = -Log(Rng::ToUnitDoublePositive(w_mag));
@@ -339,99 +347,10 @@ inline double LaplaceNuScalar(uint64_t w_mag, uint64_t w_sign, double mu,
 
 // The word → Exponential(b) transform of one element: one raw word per
 // variate (no sign word; support [0, +inf)). Operation for operation the
-// scalar body of ExponentialTransformBlock — the fused exponential scans
-// are *defined* by this composition.
+// scalar body of ExponentialTransformBlock, which defines the
+// exponential-noise megakernels the same way.
 inline double ExpNuScalar(uint64_t word, double b) {
   return b * NegLogUnitPositive(word);
-}
-
-// Scalar reference lanes of the four fused sample-and-scan kernels. Each
-// starts at element `from` (0 for the dispatch entry points; the SIMD
-// lanes delegate their < width tails here, the same rule the unfused
-// kernels use). The positive tests are literal transcriptions of the
-// streaming comparisons, so hit indices are bit-identical across lanes.
-
-FusedScanHit FusedScanGeScalar(const uint64_t* words, double mu, double b,
-                               double bar, size_t n, size_t from) {
-  for (size_t i = from; i < n; ++i) {
-    const double nu = LaplaceNuScalar(words[2 * i], words[2 * i + 1], mu, b);
-    if (nu >= bar) return {i, nu};
-  }
-  return {n, 0.0};
-}
-
-FusedScanHit FusedScanSumGeScalar(const uint64_t* words, double mu, double b,
-                                  const double* a, double bar, size_t n,
-                                  size_t from) {
-  for (size_t i = from; i < n; ++i) {
-    const double nu = LaplaceNuScalar(words[2 * i], words[2 * i + 1], mu, b);
-    if (a[i] + nu >= bar) return {i, nu};
-  }
-  return {n, 0.0};
-}
-
-FusedScanHit FusedScanGePairwiseScalar(const uint64_t* words, double mu,
-                                       double b, const double* bars,
-                                       double rho, size_t n, size_t from) {
-  for (size_t i = from; i < n; ++i) {
-    const double nu = LaplaceNuScalar(words[2 * i], words[2 * i + 1], mu, b);
-    if (nu >= bars[i] + rho) return {i, nu};
-  }
-  return {n, 0.0};
-}
-
-FusedScanHit FusedScanSumGePairwiseScalar(const uint64_t* words, double mu,
-                                          double b, const double* a,
-                                          const double* bars, double rho,
-                                          size_t n, size_t from) {
-  for (size_t i = from; i < n; ++i) {
-    const double nu = LaplaceNuScalar(words[2 * i], words[2 * i + 1], mu, b);
-    if (a[i] + nu >= bars[i] + rho) return {i, nu};
-  }
-  return {n, 0.0};
-}
-
-// Scalar reference lanes of the exponential-noise fused scans: identical
-// structure to the Laplace family above, but one word per variate.
-
-FusedScanHit FusedExpScanGeScalar(const uint64_t* words, double b, double bar,
-                                  size_t n, size_t from) {
-  for (size_t i = from; i < n; ++i) {
-    const double nu = ExpNuScalar(words[i], b);
-    if (nu >= bar) return {i, nu};
-  }
-  return {n, 0.0};
-}
-
-FusedScanHit FusedExpScanSumGeScalar(const uint64_t* words, double b,
-                                     const double* a, double bar, size_t n,
-                                     size_t from) {
-  for (size_t i = from; i < n; ++i) {
-    const double nu = ExpNuScalar(words[i], b);
-    if (a[i] + nu >= bar) return {i, nu};
-  }
-  return {n, 0.0};
-}
-
-FusedScanHit FusedExpScanGePairwiseScalar(const uint64_t* words, double b,
-                                          const double* bars, double rho,
-                                          size_t n, size_t from) {
-  for (size_t i = from; i < n; ++i) {
-    const double nu = ExpNuScalar(words[i], b);
-    if (nu >= bars[i] + rho) return {i, nu};
-  }
-  return {n, 0.0};
-}
-
-FusedScanHit FusedExpScanSumGePairwiseScalar(const uint64_t* words, double b,
-                                             const double* a,
-                                             const double* bars, double rho,
-                                             size_t n, size_t from) {
-  for (size_t i = from; i < n; ++i) {
-    const double nu = ExpNuScalar(words[i], b);
-    if (a[i] + nu >= bars[i] + rho) return {i, nu};
-  }
-  return {n, 0.0};
 }
 
 // --- megakernels: scalar lanes --------------------------------------------
@@ -449,25 +368,14 @@ inline uint64_t MegaNextWord(BlockRng::State* st) {
   return r;
 }
 
-// Scalar reference lanes of the four megakernel scans. Each starts at
-// element `from` with `st` positioned at that element's first word (0 for
-// the dispatch entry points; the SIMD lanes delegate their sub-width
-// tails here after spilling their registers). The transform and the
-// positive test are the same LaplaceNuScalar / ExpNuScalar compositions
-// the fused kernels run, so hit indices and ν payloads are bit-identical
-// to FillUint64 + fused scan.
-
-FusedScanHit MegaScanSumGeScalar(BlockRng::State* st, double mu, double b,
-                                 const double* a, double bar, size_t n,
-                                 size_t from) {
-  for (size_t i = from; i < n; ++i) {
-    const uint64_t w_mag = MegaNextWord(st);
-    const uint64_t w_sign = MegaNextWord(st);
-    const double nu = LaplaceNuScalar(w_mag, w_sign, mu, b);
-    if (a[i] + nu >= bar) return {i, nu};
-  }
-  return {n, 0.0};
-}
+// Scalar reference lanes of the two unbounded (pairwise) megakernel scans.
+// Each starts at element `from` with `st` positioned at that element's
+// first word (0 for the dispatch entry points; the SIMD lanes delegate
+// their sub-width tails here after spilling their registers). The
+// transform is LaplaceNuScalar / ExpNuScalar and the positive test a
+// literal transcription of the streaming comparison, so hit indices and ν
+// payloads are bit-identical to FillUint64 + TransformBlock + a scalar
+// compare loop.
 
 FusedScanHit MegaScanSumGePairwiseScalar(BlockRng::State* st, double mu,
                                          double b, const double* a,
@@ -478,16 +386,6 @@ FusedScanHit MegaScanSumGePairwiseScalar(BlockRng::State* st, double mu,
     const uint64_t w_sign = MegaNextWord(st);
     const double nu = LaplaceNuScalar(w_mag, w_sign, mu, b);
     if (a[i] + nu >= bars[i] + rho) return {i, nu};
-  }
-  return {n, 0.0};
-}
-
-FusedScanHit MegaExpScanSumGeScalar(BlockRng::State* st, double b,
-                                    const double* a, double bar, size_t n,
-                                    size_t from) {
-  for (size_t i = from; i < n; ++i) {
-    const double nu = ExpNuScalar(MegaNextWord(st), b);
-    if (a[i] + nu >= bar) return {i, nu};
   }
   return {n, 0.0};
 }
@@ -508,7 +406,7 @@ FusedScanHit MegaExpScanSumGePairwiseScalar(BlockRng::State* st, double b,
 // to fire the computed positive test (MegaSkipWordThreshold contract),
 // so its transform is skipped; the stream advance is unchanged, and
 // since skipped elements cannot hit, results and end states are
-// bit-identical to the unbounded walkers above.
+// bit-identical to the same walk with no element skipped.
 
 FusedScanHit MegaScanSumGeBoundedScalar(BlockRng::State* st, double mu,
                                         double b, const double* a, double bar,
@@ -750,7 +648,7 @@ size_t MegaExpFillMinScanSpansPairwiseScalar(
 
 namespace {
 
-// 4-wide mirrors of Log()/Exp(). Operand order and association replicate
+// 4-wide mirrors of Log(). Operand order and association replicate
 // the scalar lane exactly; _mm256_{add,sub,mul,div}_pd are the same
 // correctly-rounded IEEE operations, and no fused ops are used.
 
@@ -944,38 +842,6 @@ __attribute__((target("avx2"))) double MaxBlockAvx2(const double* in,
   return m;
 }
 
-__attribute__((target("avx2"))) uint64_t MinWordBlockAvx2(
-    const uint64_t* words, size_t stride, size_t n) {
-  // Unsigned 64-bit min via the sign-flip trick over cmpgt_epi64.
-  const __m256i flip = _mm256_set1_epi64x(
-      static_cast<int64_t>(0x8000'0000'0000'0000ull));
-  __m256i acc = _mm256_set1_epi64x(static_cast<int64_t>(words[0]));
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256i w;
-    if (stride == 1) {
-      w = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(words + i));
-    } else {
-      const __m256i v0 = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(words + 2 * i));
-      const __m256i v1 = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(words + 2 * i + 4));
-      // Min is order-free: no need to restore index order after unpack.
-      w = _mm256_unpacklo_epi64(v0, v1);
-    }
-    const __m256i gt =
-        _mm256_cmpgt_epi64(_mm256_xor_si256(acc, flip),
-                           _mm256_xor_si256(w, flip));
-    acc = _mm256_blendv_epi8(acc, w, gt);
-  }
-  alignas(32) uint64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  uint64_t m = std::min(std::min(lanes[0], lanes[1]),
-                        std::min(lanes[2], lanes[3]));
-  for (; i < n; ++i) m = std::min(m, words[i * stride]);
-  return m;
-}
-
 __attribute__((target("avx2"))) double MinBlockAvx2(const double* in,
                                                     size_t n) {
   __m256d acc = _mm256_set1_pd(in[0]);
@@ -1058,27 +924,6 @@ __attribute__((target("avx2"))) uint8_t QuantizedSpanMinU8Avx2(
   return m;
 }
 
-__attribute__((target("avx2"))) size_t FindFirstSumGeAvx2(const double* a,
-                                                          const double* b,
-                                                          double bar,
-                                                          size_t n) {
-  const __m256d vbar = _mm256_set1_pd(bar);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d sum =
-        _mm256_add_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i));
-    const int mask =
-        _mm256_movemask_pd(_mm256_cmp_pd(sum, vbar, _CMP_GE_OQ));
-    if (mask != 0) {
-      return i + static_cast<size_t>(__builtin_ctz(mask));
-    }
-  }
-  for (; i < n; ++i) {
-    if (a[i] + b[i] >= bar) return i;
-  }
-  return n;
-}
-
 __attribute__((target("avx2"))) size_t FindFirstGeAvx2(const double* a,
                                                        double bar, size_t n) {
   const __m256d vbar = _mm256_set1_pd(bar);
@@ -1114,32 +959,11 @@ __attribute__((target("avx2"))) size_t FindFirstGePairwiseAvx2(
   return n;
 }
 
-__attribute__((target("avx2"))) size_t FindFirstSumGePairwiseAvx2(
-    const double* a, const double* b, const double* bars, double rho,
-    size_t n) {
-  const __m256d vrho = _mm256_set1_pd(rho);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d sum =
-        _mm256_add_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i));
-    const __m256d bar = _mm256_add_pd(_mm256_loadu_pd(bars + i), vrho);
-    const int mask =
-        _mm256_movemask_pd(_mm256_cmp_pd(sum, bar, _CMP_GE_OQ));
-    if (mask != 0) {
-      return i + static_cast<size_t>(__builtin_ctz(mask));
-    }
-  }
-  for (; i < n; ++i) {
-    if (a[i] + b[i] >= bars[i] + rho) return i;
-  }
-  return n;
-}
-
 // One fused transform step: 4 consecutive (magnitude, sign) word pairs →
 // 4 ν values, bit-identical to the operation sequence of
-// LaplaceTransformAvx2 — that identity is what makes the fused scans
-// bit-identical to the unfused FillUint64 + TransformBlock + FindFirst*
-// pipeline. One deliberate register-pressure optimization: `vnb` carries
+// LaplaceTransformAvx2 — that identity is what makes the megakernels
+// bit-identical to their definition, FillUint64 + TransformBlock + the
+// streaming positive test. One deliberate register-pressure optimization: `vnb` carries
 // -b, so be = (-b)·log(u) replaces the reference's b·(-log(u)) — IEEE
 // multiplication computes the sign as the XOR of the operand signs and
 // the magnitude independently, so the product is bit-identical while the
@@ -1159,90 +983,6 @@ __attribute__((target("avx2"))) inline __m256d LaplaceNu4Avx2Reg(
   const __m256d be = _mm256_mul_pd(vnb, Log4Normal(u));
   const __m256d flip = _mm256_castsi256_pd(_mm256_andnot_si256(odd, sign_bit));
   return _mm256_add_pd(vmu, _mm256_xor_pd(be, flip));
-}
-
-__attribute__((target("avx2"))) inline __m256d LaplaceNu4Avx2(
-    const uint64_t* word_pairs, __m256d vmu, __m256d vnb) {
-  // The transform body lives in the Reg variant so the megakernels can
-  // feed it words straight from the lockstep step registers; this loading
-  // form is what the scratch-buffer fused scans use.
-  const __m256i v0 =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(word_pairs));
-  const __m256i v1 =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(word_pairs + 4));
-  return LaplaceNu4Avx2Reg(v0, v1, vmu, vnb);
-}
-
-// Extracts the hit from a nonzero compare mask: lane index + that lane's ν.
-__attribute__((target("avx2"))) inline FusedScanHit FusedHitAvx2(
-    size_t i, int mask, __m256d nu) {
-  const int lane = __builtin_ctz(static_cast<unsigned>(mask));
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, nu);
-  return {i + static_cast<size_t>(lane), lanes[lane]};
-}
-
-__attribute__((target("avx2"))) FusedScanHit FusedLaplaceScanGeAvx2(
-    const uint64_t* words, double mu, double b, double bar, size_t n) {
-  const __m256d vmu = _mm256_set1_pd(mu);
-  const __m256d vnb = _mm256_set1_pd(-b);
-  const __m256d vbar = _mm256_set1_pd(bar);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d nu = LaplaceNu4Avx2(words + 2 * i, vmu, vnb);
-    const int mask = _mm256_movemask_pd(_mm256_cmp_pd(nu, vbar, _CMP_GE_OQ));
-    if (mask != 0) return FusedHitAvx2(i, mask, nu);
-  }
-  return FusedScanGeScalar(words, mu, b, bar, n, i);
-}
-
-__attribute__((target("avx2"))) FusedScanHit FusedLaplaceScanSumGeAvx2(
-    const uint64_t* words, double mu, double b, const double* a, double bar,
-    size_t n) {
-  const __m256d vmu = _mm256_set1_pd(mu);
-  const __m256d vnb = _mm256_set1_pd(-b);
-  const __m256d vbar = _mm256_set1_pd(bar);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d nu = LaplaceNu4Avx2(words + 2 * i, vmu, vnb);
-    const __m256d sum = _mm256_add_pd(_mm256_loadu_pd(a + i), nu);
-    const int mask = _mm256_movemask_pd(_mm256_cmp_pd(sum, vbar, _CMP_GE_OQ));
-    if (mask != 0) return FusedHitAvx2(i, mask, nu);
-  }
-  return FusedScanSumGeScalar(words, mu, b, a, bar, n, i);
-}
-
-__attribute__((target("avx2"))) FusedScanHit FusedLaplaceScanGePairwiseAvx2(
-    const uint64_t* words, double mu, double b, const double* bars,
-    double rho, size_t n) {
-  const __m256d vmu = _mm256_set1_pd(mu);
-  const __m256d vnb = _mm256_set1_pd(-b);
-  const __m256d vrho = _mm256_set1_pd(rho);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d nu = LaplaceNu4Avx2(words + 2 * i, vmu, vnb);
-    const __m256d bar = _mm256_add_pd(_mm256_loadu_pd(bars + i), vrho);
-    const int mask = _mm256_movemask_pd(_mm256_cmp_pd(nu, bar, _CMP_GE_OQ));
-    if (mask != 0) return FusedHitAvx2(i, mask, nu);
-  }
-  return FusedScanGePairwiseScalar(words, mu, b, bars, rho, n, i);
-}
-
-__attribute__((target("avx2"))) FusedScanHit FusedLaplaceScanSumGePairwiseAvx2(
-    const uint64_t* words, double mu, double b, const double* a,
-    const double* bars, double rho, size_t n) {
-  const __m256d vmu = _mm256_set1_pd(mu);
-  const __m256d vnb = _mm256_set1_pd(-b);
-  const __m256d vrho = _mm256_set1_pd(rho);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d nu = LaplaceNu4Avx2(words + 2 * i, vmu, vnb);
-    const __m256d sum = _mm256_add_pd(_mm256_loadu_pd(a + i), nu);
-    const __m256d bar = _mm256_add_pd(_mm256_loadu_pd(bars + i), vrho);
-    const int mask = _mm256_movemask_pd(_mm256_cmp_pd(sum, bar, _CMP_GE_OQ));
-    if (mask != 0) return FusedHitAvx2(i, mask, nu);
-  }
-  return FusedScanSumGePairwiseScalar(words, mu, b, a, bars, rho, n, i);
 }
 
 // One fused exponential transform step: 4 consecutive raw words → 4 ν
@@ -1276,154 +1016,13 @@ __attribute__((target("avx2"))) void ExponentialTransformAvx2(
   for (; i < n; ++i) out[i] = ExpNuScalar(words[i], b);
 }
 
-__attribute__((target("avx2"))) FusedScanHit FusedExpScanGeAvx2(
-    const uint64_t* words, double b, double bar, size_t n) {
-  const __m256d vnb = _mm256_set1_pd(-b);
-  const __m256d vbar = _mm256_set1_pd(bar);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d nu = ExpNu4Avx2(words + i, vnb);
-    const int mask = _mm256_movemask_pd(_mm256_cmp_pd(nu, vbar, _CMP_GE_OQ));
-    if (mask != 0) return FusedHitAvx2(i, mask, nu);
-  }
-  return FusedExpScanGeScalar(words, b, bar, n, i);
-}
-
-__attribute__((target("avx2"))) FusedScanHit FusedExpScanSumGeAvx2(
-    const uint64_t* words, double b, const double* a, double bar, size_t n) {
-  const __m256d vnb = _mm256_set1_pd(-b);
-  const __m256d vbar = _mm256_set1_pd(bar);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d nu = ExpNu4Avx2(words + i, vnb);
-    const __m256d sum = _mm256_add_pd(_mm256_loadu_pd(a + i), nu);
-    const int mask = _mm256_movemask_pd(_mm256_cmp_pd(sum, vbar, _CMP_GE_OQ));
-    if (mask != 0) return FusedHitAvx2(i, mask, nu);
-  }
-  return FusedExpScanSumGeScalar(words, b, a, bar, n, i);
-}
-
-__attribute__((target("avx2"))) FusedScanHit FusedExpScanGePairwiseAvx2(
-    const uint64_t* words, double b, const double* bars, double rho,
-    size_t n) {
-  const __m256d vnb = _mm256_set1_pd(-b);
-  const __m256d vrho = _mm256_set1_pd(rho);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d nu = ExpNu4Avx2(words + i, vnb);
-    const __m256d bar = _mm256_add_pd(_mm256_loadu_pd(bars + i), vrho);
-    const int mask = _mm256_movemask_pd(_mm256_cmp_pd(nu, bar, _CMP_GE_OQ));
-    if (mask != 0) return FusedHitAvx2(i, mask, nu);
-  }
-  return FusedExpScanGePairwiseScalar(words, b, bars, rho, n, i);
-}
-
-__attribute__((target("avx2"))) FusedScanHit FusedExpScanSumGePairwiseAvx2(
-    const uint64_t* words, double b, const double* a, const double* bars,
-    double rho, size_t n) {
-  const __m256d vnb = _mm256_set1_pd(-b);
-  const __m256d vrho = _mm256_set1_pd(rho);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d nu = ExpNu4Avx2(words + i, vnb);
-    const __m256d sum = _mm256_add_pd(_mm256_loadu_pd(a + i), nu);
-    const __m256d bar = _mm256_add_pd(_mm256_loadu_pd(bars + i), vrho);
-    const int mask = _mm256_movemask_pd(_mm256_cmp_pd(sum, bar, _CMP_GE_OQ));
-    if (mask != 0) return FusedHitAvx2(i, mask, nu);
-  }
-  return FusedExpScanSumGePairwiseScalar(words, b, a, bars, rho, n, i);
-}
-
-__attribute__((target("avx2"))) void ExpBlockAvx2(const double* in,
-                                                  double* out, size_t n) {
-  const __m256d abs_mask =
-      _mm256_castsi256_pd(_mm256_set1_epi64x(0x7FFF'FFFF'FFFF'FFFFll));
-  const __m256d dom = _mm256_set1_pd(700.0);
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d two = _mm256_set1_pd(2.0);
-  const __m256d log2e = _mm256_set1_pd(kLog2e);
-  const __m256d magic = _mm256_set1_pd(kRoundMagic);
-  const __m256d ln2hi = _mm256_set1_pd(kLn2Hi), ln2lo = _mm256_set1_pd(kLn2Lo);
-  const __m256d p1 = _mm256_set1_pd(kP1), p2 = _mm256_set1_pd(kP2),
-                p3 = _mm256_set1_pd(kP3), p4 = _mm256_set1_pd(kP4),
-                p5 = _mm256_set1_pd(kP5);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d x = _mm256_loadu_pd(in + i);
-    // Fast path: |x| <= 700 (k-split scaling stays in the exponent range,
-    // results stay clear of overflow/underflow). NaN fails the compare.
-    const __m256d ok =
-        _mm256_cmp_pd(_mm256_and_pd(x, abs_mask), dom, _CMP_LE_OQ);
-
-    const __m256d t = _mm256_mul_pd(x, log2e);
-    const __m256d kd =
-        _mm256_sub_pd(_mm256_add_pd(t, magic), magic);
-    const __m128i ki = _mm256_cvtpd_epi32(kd);  // exact: kd is integral
-
-    const __m256d hi = _mm256_sub_pd(x, _mm256_mul_pd(kd, ln2hi));
-    const __m256d lo = _mm256_mul_pd(kd, ln2lo);
-    const __m256d r = _mm256_sub_pd(hi, lo);
-    const __m256d z = _mm256_mul_pd(r, r);
-    const __m256d c = _mm256_sub_pd(
-        r,
-        _mm256_mul_pd(
-            z,
-            _mm256_add_pd(
-                p1,
-                _mm256_mul_pd(
-                    z,
-                    _mm256_add_pd(
-                        p2,
-                        _mm256_mul_pd(
-                            z, _mm256_add_pd(
-                                   p3, _mm256_mul_pd(
-                                           z, _mm256_add_pd(
-                                                  p4,
-                                                  _mm256_mul_pd(z, p5))))))))));
-    // y = 1 - ((lo - (r*c)/(2-c)) - hi)
-    const __m256d y = _mm256_sub_pd(
-        one,
-        _mm256_sub_pd(
-            _mm256_sub_pd(
-                lo, _mm256_div_pd(_mm256_mul_pd(r, c), _mm256_sub_pd(two, c))),
-            hi));
-
-    // Scale by 2^k1 * 2^k2, k1 = k>>1 (arithmetic), k2 = k - k1.
-    const __m128i k1 = _mm_srai_epi32(ki, 1);
-    const __m128i k2 = _mm_sub_epi32(ki, k1);
-    const __m256i e1 = _mm256_slli_epi64(
-        _mm256_add_epi64(_mm256_cvtepi32_epi64(k1),
-                         _mm256_set1_epi64x(1023)),
-        52);
-    const __m256i e2 = _mm256_slli_epi64(
-        _mm256_add_epi64(_mm256_cvtepi32_epi64(k2),
-                         _mm256_set1_epi64x(1023)),
-        52);
-    const __m256d res = _mm256_mul_pd(
-        _mm256_mul_pd(y, _mm256_castsi256_pd(e1)), _mm256_castsi256_pd(e2));
-
-    const int good = _mm256_movemask_pd(ok);
-    if (good == 0xF) {
-      _mm256_storeu_pd(out + i, res);
-    } else {
-      alignas(32) double tmp[4];
-      _mm256_store_pd(tmp, res);
-      for (int lane = 0; lane < 4; ++lane) {
-        if (!(good & (1 << lane))) tmp[lane] = Exp(in[i + lane]);
-      }
-      _mm256_storeu_pd(out + i, _mm256_load_pd(tmp));
-    }
-  }
-  for (; i < n; ++i) out[i] = Exp(in[i]);
-}
-
 // --- megakernels: AVX2 lanes ----------------------------------------------
 //
-// Structure shared by all four scans: the four xoshiro lanes live in
+// Structure shared by every scan: the four xoshiro lanes live in
 // registers (one lockstep::Step4Avx2 call advances all four and yields the
 // next four stream words), each group of 4 elements consumes wpv steps,
-// and the freshly stepped words feed the same Reg transform bodies the
-// scratch-buffer fused scans use — words never touch memory. Entry
+// and the freshly stepped words feed the Reg transform bodies above —
+// words never touch memory. Entry
 // requires a lane-aligned stream position (phase == 0; the dispatch entry
 // points delegate the whole call to the scalar lane otherwise). On a
 // group hit the state must end at (index + 1) * wpv consumed words, not
@@ -1453,31 +1052,6 @@ __attribute__((target("avx2"))) inline FusedScanHit MegaHitAvx2(
   return {i + static_cast<size_t>(lane), lanes[lane]};
 }
 
-__attribute__((target("avx2"))) FusedScanHit MegaLaplaceScanSumGeAvx2(
-    BlockRng::State* st, double mu, double b, const double* a, double bar,
-    size_t n) {
-  const __m256d vmu = _mm256_set1_pd(mu);
-  const __m256d vnb = _mm256_set1_pd(-b);
-  const __m256d vbar = _mm256_set1_pd(bar);
-  uint64_t* w = st->words.data();
-  __m256i s0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w));
-  __m256i s1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 4));
-  __m256i s2 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 8));
-  __m256i s3 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 12));
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i c0 = s0, c1 = s1, c2 = s2, c3 = s3;
-    const __m256i v0 = lockstep::Step4Avx2(s0, s1, s2, s3);
-    const __m256i v1 = lockstep::Step4Avx2(s0, s1, s2, s3);
-    const __m256d nu = LaplaceNu4Avx2Reg(v0, v1, vmu, vnb);
-    const __m256d sum = _mm256_add_pd(_mm256_loadu_pd(a + i), nu);
-    const int mask = _mm256_movemask_pd(_mm256_cmp_pd(sum, vbar, _CMP_GE_OQ));
-    if (mask != 0) return MegaHitAvx2(st, i, mask, nu, 2, c0, c1, c2, c3);
-  }
-  MegaStoreAvx2(st, s0, s1, s2, s3);
-  return MegaScanSumGeScalar(st, mu, b, a, bar, n, i);
-}
-
 __attribute__((target("avx2"))) FusedScanHit MegaLaplaceScanSumGePairwiseAvx2(
     BlockRng::State* st, double mu, double b, const double* a,
     const double* bars, double rho, size_t n) {
@@ -1502,28 +1076,6 @@ __attribute__((target("avx2"))) FusedScanHit MegaLaplaceScanSumGePairwiseAvx2(
   }
   MegaStoreAvx2(st, s0, s1, s2, s3);
   return MegaScanSumGePairwiseScalar(st, mu, b, a, bars, rho, n, i);
-}
-
-__attribute__((target("avx2"))) FusedScanHit MegaExpScanSumGeAvx2(
-    BlockRng::State* st, double b, const double* a, double bar, size_t n) {
-  const __m256d vnb = _mm256_set1_pd(-b);
-  const __m256d vbar = _mm256_set1_pd(bar);
-  uint64_t* w = st->words.data();
-  __m256i s0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w));
-  __m256i s1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 4));
-  __m256i s2 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 8));
-  __m256i s3 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 12));
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i c0 = s0, c1 = s1, c2 = s2, c3 = s3;
-    const __m256i v = lockstep::Step4Avx2(s0, s1, s2, s3);
-    const __m256d nu = ExpNu4Avx2Reg(v, vnb);
-    const __m256d sum = _mm256_add_pd(_mm256_loadu_pd(a + i), nu);
-    const int mask = _mm256_movemask_pd(_mm256_cmp_pd(sum, vbar, _CMP_GE_OQ));
-    if (mask != 0) return MegaHitAvx2(st, i, mask, nu, 1, c0, c1, c2, c3);
-  }
-  MegaStoreAvx2(st, s0, s1, s2, s3);
-  return MegaExpScanSumGeScalar(st, b, a, bar, n, i);
 }
 
 __attribute__((target("avx2"))) FusedScanHit MegaExpScanSumGePairwiseAvx2(
@@ -1552,8 +1104,7 @@ __attribute__((target("avx2"))) FusedScanHit MegaExpScanSumGePairwiseAvx2(
 
 __attribute__((target("avx2"))) inline __m256i MinU64Avx2(__m256i a,
                                                           __m256i b) {
-  // Unsigned 64-bit min via the sign-flip trick over cmpgt_epi64, as in
-  // MinWordBlockAvx2.
+  // Unsigned 64-bit min via the sign-flip trick over cmpgt_epi64.
   const __m256i flip = _mm256_set1_epi64x(
       static_cast<int64_t>(0x8000'0000'0000'0000ull));
   const __m256i gt = _mm256_cmpgt_epi64(_mm256_xor_si256(a, flip),
@@ -1615,15 +1166,14 @@ __attribute__((target("avx2"))) uint64_t MegaFillMinSpansAvx2(
   return total;
 }
 
-// Bounded scan lanes: identical to the unbounded lanes except that each
-// group's magnitude words are tested against the skip threshold first —
+// Bounded scan lanes: the unbounded lane body except that each group's magnitude words are tested against the skip threshold first —
 // one shift, one compare, one movemask — and the whole transform-and-test
 // body is bypassed when no word is below it. The threshold never exceeds
 // 2^53 + 1 (MegaSkipWordThreshold contract) and the shifted words are at
 // most 2^53 - 1, so both sides are non-negative as signed 64-bit values
 // and cmpgt_epi64 is an unsigned compare. Mixed groups run the full
 // body: above-threshold lanes provably cannot satisfy the computed
-// positive test, so the group result matches the unbounded lane bit for
+// positive test, so the group result matches an unskipped group bit for
 // bit.
 
 __attribute__((target("avx2"))) FusedScanHit MegaLaplaceScanSumGeBoundedAvx2(
@@ -2087,43 +1637,6 @@ __attribute__((target("avx2"))) size_t MegaExpFillMinScanSpansPairwiseAvx2(
   return found;
 }
 
-// Scratch-buffer skipped-word count for the composition mode: same
-// shift/compare/popcount as the fused lanes, over the already-filled word
-// buffer (element words are every wpv-th, starting at the first; the
-// wpv == 2 unpack is order-free for counting).
-
-__attribute__((target("avx2"))) size_t SkipWordCountBlockAvx2(
-    const uint64_t* words, size_t n, size_t wpv, uint64_t skip_word) {
-  const __m256i vskip = _mm256_set1_epi64x(static_cast<int64_t>(skip_word));
-  size_t c = 0;
-  size_t i = 0;
-  if (wpv == 2) {
-    for (; i + 8 <= n; i += 8) {
-      const __m256i v0 =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(words + i));
-      const __m256i v1 =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(words + i + 4));
-      const __m256i mag53 =
-          _mm256_srli_epi64(_mm256_unpacklo_epi64(v0, v1), 11);
-      const __m256i live = _mm256_cmpgt_epi64(vskip, mag53);
-      const int lmask = _mm256_movemask_pd(_mm256_castsi256_pd(live));
-      c += 4 - static_cast<unsigned>(
-                   __builtin_popcount(static_cast<unsigned>(lmask)));
-    }
-  } else {
-    for (; i + 4 <= n; i += 4) {
-      const __m256i v =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(words + i));
-      const __m256i live = _mm256_cmpgt_epi64(vskip, _mm256_srli_epi64(v, 11));
-      const int lmask = _mm256_movemask_pd(_mm256_castsi256_pd(live));
-      c += 4 - static_cast<unsigned>(
-                   __builtin_popcount(static_cast<unsigned>(lmask)));
-    }
-  }
-  for (; i < n; i += wpv) c += (words[i] >> 11) >= skip_word;
-  return c;
-}
-
 }  // namespace
 
 #endif  // SVT_VECMATH_HAVE_AVX2
@@ -2141,7 +1654,7 @@ __attribute__((target("avx2"))) size_t SkipWordCountBlockAvx2(
 
 namespace {
 
-// 8-wide mirrors of Log()/Exp() and the fused kernels. Operand order and
+// 8-wide mirrors of Log() and the transform kernels. Operand order and
 // association replicate the scalar lane exactly; _mm512_{add,sub,mul,div}_pd
 // are the same correctly-rounded IEEE operations, and no fused ops are
 // used. Integer<->double conversions go through AVX-512DQ's exact
@@ -2314,29 +1827,6 @@ __attribute__((target("avx512f,avx512dq"))) double MaxBlockAvx512(
   return m;
 }
 
-__attribute__((target("avx512f,avx512dq"))) uint64_t MinWordBlockAvx512(
-    const uint64_t* words, size_t stride, size_t n) {
-  __m512i acc = _mm512_set1_epi64(static_cast<int64_t>(words[0]));
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m512i w;
-    if (stride == 1) {
-      w = _mm512_loadu_si512(words + i);
-    } else {
-      const __m512i v0 = _mm512_loadu_si512(words + 2 * i);
-      const __m512i v1 = _mm512_loadu_si512(words + 2 * i + 8);
-      w = _mm512_permutex2var_epi64(v0, EvenIdx512(), v1);
-    }
-    acc = _mm512_min_epu64(acc, w);
-  }
-  alignas(64) uint64_t lanes[8];
-  _mm512_store_si512(lanes, acc);
-  uint64_t m = lanes[0];
-  for (int lane = 1; lane < 8; ++lane) m = std::min(m, lanes[lane]);
-  for (; i < n; ++i) m = std::min(m, words[i * stride]);
-  return m;
-}
-
 __attribute__((target("avx512f,avx512dq"))) double MinBlockAvx512(
     const double* in, size_t n) {
   __m512d acc = _mm512_set1_pd(in[0]);
@@ -2350,25 +1840,6 @@ __attribute__((target("avx512f,avx512dq"))) double MinBlockAvx512(
   for (int lane = 1; lane < 8; ++lane) m = std::min(m, lanes[lane]);
   for (; i < n; ++i) m = std::min(m, in[i]);
   return m;
-}
-
-__attribute__((target("avx512f,avx512dq"))) size_t FindFirstSumGeAvx512(
-    const double* a, const double* b, double bar, size_t n) {
-  const __m512d vbar = _mm512_set1_pd(bar);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d sum =
-        _mm512_add_pd(_mm512_loadu_pd(a + i), _mm512_loadu_pd(b + i));
-    const __mmask8 mask = _mm512_cmp_pd_mask(sum, vbar, _CMP_GE_OQ);
-    if (mask != 0) {
-      return i + static_cast<size_t>(
-                     __builtin_ctz(static_cast<unsigned>(mask)));
-    }
-  }
-  for (; i < n; ++i) {
-    if (a[i] + b[i] >= bar) return i;
-  }
-  return n;
 }
 
 __attribute__((target("avx512f,avx512dq"))) size_t FindFirstGeAvx512(
@@ -2408,27 +1879,6 @@ __attribute__((target("avx512f,avx512dq"))) size_t FindFirstGePairwiseAvx512(
   return n;
 }
 
-__attribute__((target("avx512f,avx512dq"))) size_t
-FindFirstSumGePairwiseAvx512(const double* a, const double* b,
-                             const double* bars, double rho, size_t n) {
-  const __m512d vrho = _mm512_set1_pd(rho);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d sum =
-        _mm512_add_pd(_mm512_loadu_pd(a + i), _mm512_loadu_pd(b + i));
-    const __m512d bar = _mm512_add_pd(_mm512_loadu_pd(bars + i), vrho);
-    const __mmask8 mask = _mm512_cmp_pd_mask(sum, bar, _CMP_GE_OQ);
-    if (mask != 0) {
-      return i + static_cast<size_t>(
-                     __builtin_ctz(static_cast<unsigned>(mask)));
-    }
-  }
-  for (; i < n; ++i) {
-    if (a[i] + b[i] >= bars[i] + rho) return i;
-  }
-  return n;
-}
-
 // 8-wide fused transform step, mirroring LaplaceTransformAvx512 operation
 // for operation, with the same bit-identical (-b)·log(u) fold as
 // LaplaceNu4Avx2 (see there for why both identities hold).
@@ -2445,93 +1895,6 @@ __attribute__((target("avx512f,avx512dq"))) inline __m512d LaplaceNu8Avx512Reg(
   const __m512d be = _mm512_mul_pd(vnb, Log8Normal(u));
   const __m512d flip = _mm512_castsi512_pd(_mm512_andnot_si512(odd, sign_bit));
   return _mm512_add_pd(vmu, _mm512_xor_pd(be, flip));
-}
-
-__attribute__((target("avx512f,avx512dq"))) inline __m512d LaplaceNu8Avx512(
-    const uint64_t* word_pairs, __m512d vmu, __m512d vnb) {
-  // The transform body lives in the Reg variant so the megakernels can
-  // feed it words straight from the lockstep step registers.
-  return LaplaceNu8Avx512Reg(_mm512_loadu_si512(word_pairs),
-                             _mm512_loadu_si512(word_pairs + 8), vmu, vnb);
-}
-
-__attribute__((target("avx512f,avx512dq"))) inline FusedScanHit FusedHitAvx512(
-    size_t i, __mmask8 mask, __m512d nu) {
-  const int lane = __builtin_ctz(static_cast<unsigned>(mask));
-  alignas(64) double lanes[8];
-  _mm512_store_pd(lanes, nu);
-  return {i + static_cast<size_t>(lane), lanes[lane]};
-}
-
-__attribute__((target("avx512f,avx512dq"))) FusedScanHit
-FusedLaplaceScanGeAvx512(const uint64_t* words, double mu, double b,
-                         double bar, size_t n) {
-  const __m512d vmu = _mm512_set1_pd(mu);
-  const __m512d vnb = _mm512_set1_pd(-b);
-  const __m512d vbar = _mm512_set1_pd(bar);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d nu = LaplaceNu8Avx512(words + 2 * i, vmu, vnb);
-    const __mmask8 mask = _mm512_cmp_pd_mask(nu, vbar, _CMP_GE_OQ);
-    if (mask != 0) return FusedHitAvx512(i, mask, nu);
-  }
-  return FusedScanGeScalar(words, mu, b, bar, n, i);
-}
-
-__attribute__((target("avx512f,avx512dq"))) FusedScanHit
-FusedLaplaceScanSumGeAvx512(const uint64_t* words, double mu, double b,
-                            const double* a, double bar, size_t n) {
-  const __m512d vmu = _mm512_set1_pd(mu);
-  const __m512d vnb = _mm512_set1_pd(-b);
-  const __m512d vbar = _mm512_set1_pd(bar);
-  size_t i = 0;
-  // Deliberately not unrolled: the single 8-wide body keeps every
-  // polynomial constant register-resident — a 2× unroll was measured to
-  // push GCC into re-broadcasting ~15 constants per iteration, costing
-  // more than the second div chain bought.
-  for (; i + 8 <= n; i += 8) {
-    const __m512d nu = LaplaceNu8Avx512(words + 2 * i, vmu, vnb);
-    const __m512d sum = _mm512_add_pd(_mm512_loadu_pd(a + i), nu);
-    const __mmask8 mask = _mm512_cmp_pd_mask(sum, vbar, _CMP_GE_OQ);
-    if (mask != 0) return FusedHitAvx512(i, mask, nu);
-  }
-  return FusedScanSumGeScalar(words, mu, b, a, bar, n, i);
-}
-
-__attribute__((target("avx512f,avx512dq"))) FusedScanHit
-FusedLaplaceScanGePairwiseAvx512(const uint64_t* words, double mu, double b,
-                                 const double* bars, double rho, size_t n) {
-  const __m512d vmu = _mm512_set1_pd(mu);
-  const __m512d vnb = _mm512_set1_pd(-b);
-  const __m512d vrho = _mm512_set1_pd(rho);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d nu = LaplaceNu8Avx512(words + 2 * i, vmu, vnb);
-    const __m512d bar = _mm512_add_pd(_mm512_loadu_pd(bars + i), vrho);
-    const __mmask8 mask = _mm512_cmp_pd_mask(nu, bar, _CMP_GE_OQ);
-    if (mask != 0) return FusedHitAvx512(i, mask, nu);
-  }
-  return FusedScanGePairwiseScalar(words, mu, b, bars, rho, n, i);
-}
-
-__attribute__((target("avx512f,avx512dq"))) FusedScanHit
-FusedLaplaceScanSumGePairwiseAvx512(const uint64_t* words, double mu,
-                                    double b, const double* a,
-                                    const double* bars, double rho,
-                                    size_t n) {
-  const __m512d vmu = _mm512_set1_pd(mu);
-  const __m512d vnb = _mm512_set1_pd(-b);
-  const __m512d vrho = _mm512_set1_pd(rho);
-  size_t i = 0;
-  // Not unrolled — see FusedLaplaceScanSumGeAvx512 (register pressure).
-  for (; i + 8 <= n; i += 8) {
-    const __m512d nu = LaplaceNu8Avx512(words + 2 * i, vmu, vnb);
-    const __m512d sum = _mm512_add_pd(_mm512_loadu_pd(a + i), nu);
-    const __m512d bar = _mm512_add_pd(_mm512_loadu_pd(bars + i), vrho);
-    const __mmask8 mask = _mm512_cmp_pd_mask(sum, bar, _CMP_GE_OQ);
-    if (mask != 0) return FusedHitAvx512(i, mask, nu);
-  }
-  return FusedScanSumGePairwiseScalar(words, mu, b, a, bars, rho, n, i);
 }
 
 // 8-wide fused exponential transform step, mirroring ExpNu4Avx2 (see there
@@ -2560,145 +1923,6 @@ __attribute__((target("avx512f,avx512dq"))) void ExponentialTransformAvx512(
   for (; i < n; ++i) out[i] = ExpNuScalar(words[i], b);
 }
 
-__attribute__((target("avx512f,avx512dq"))) FusedScanHit FusedExpScanGeAvx512(
-    const uint64_t* words, double b, double bar, size_t n) {
-  const __m512d vnb = _mm512_set1_pd(-b);
-  const __m512d vbar = _mm512_set1_pd(bar);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d nu = ExpNu8Avx512(words + i, vnb);
-    const __mmask8 mask = _mm512_cmp_pd_mask(nu, vbar, _CMP_GE_OQ);
-    if (mask != 0) return FusedHitAvx512(i, mask, nu);
-  }
-  return FusedExpScanGeScalar(words, b, bar, n, i);
-}
-
-__attribute__((target("avx512f,avx512dq"))) FusedScanHit
-FusedExpScanSumGeAvx512(const uint64_t* words, double b, const double* a,
-                        double bar, size_t n) {
-  const __m512d vnb = _mm512_set1_pd(-b);
-  const __m512d vbar = _mm512_set1_pd(bar);
-  size_t i = 0;
-  // Not unrolled — see FusedLaplaceScanSumGeAvx512 (register pressure).
-  for (; i + 8 <= n; i += 8) {
-    const __m512d nu = ExpNu8Avx512(words + i, vnb);
-    const __m512d sum = _mm512_add_pd(_mm512_loadu_pd(a + i), nu);
-    const __mmask8 mask = _mm512_cmp_pd_mask(sum, vbar, _CMP_GE_OQ);
-    if (mask != 0) return FusedHitAvx512(i, mask, nu);
-  }
-  return FusedExpScanSumGeScalar(words, b, a, bar, n, i);
-}
-
-__attribute__((target("avx512f,avx512dq"))) FusedScanHit
-FusedExpScanGePairwiseAvx512(const uint64_t* words, double b,
-                             const double* bars, double rho, size_t n) {
-  const __m512d vnb = _mm512_set1_pd(-b);
-  const __m512d vrho = _mm512_set1_pd(rho);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d nu = ExpNu8Avx512(words + i, vnb);
-    const __m512d bar = _mm512_add_pd(_mm512_loadu_pd(bars + i), vrho);
-    const __mmask8 mask = _mm512_cmp_pd_mask(nu, bar, _CMP_GE_OQ);
-    if (mask != 0) return FusedHitAvx512(i, mask, nu);
-  }
-  return FusedExpScanGePairwiseScalar(words, b, bars, rho, n, i);
-}
-
-__attribute__((target("avx512f,avx512dq"))) FusedScanHit
-FusedExpScanSumGePairwiseAvx512(const uint64_t* words, double b,
-                                const double* a, const double* bars,
-                                double rho, size_t n) {
-  const __m512d vnb = _mm512_set1_pd(-b);
-  const __m512d vrho = _mm512_set1_pd(rho);
-  size_t i = 0;
-  // Not unrolled — see FusedLaplaceScanSumGeAvx512 (register pressure).
-  for (; i + 8 <= n; i += 8) {
-    const __m512d nu = ExpNu8Avx512(words + i, vnb);
-    const __m512d sum = _mm512_add_pd(_mm512_loadu_pd(a + i), nu);
-    const __m512d bar = _mm512_add_pd(_mm512_loadu_pd(bars + i), vrho);
-    const __mmask8 mask = _mm512_cmp_pd_mask(sum, bar, _CMP_GE_OQ);
-    if (mask != 0) return FusedHitAvx512(i, mask, nu);
-  }
-  return FusedExpScanSumGePairwiseScalar(words, b, a, bars, rho, n, i);
-}
-
-__attribute__((target("avx512f,avx512dq"))) void ExpBlockAvx512(
-    const double* in, double* out, size_t n) {
-  const __m512d abs_mask =
-      _mm512_castsi512_pd(_mm512_set1_epi64(0x7FFF'FFFF'FFFF'FFFFll));
-  const __m512d dom = _mm512_set1_pd(700.0);
-  const __m512d one = _mm512_set1_pd(1.0);
-  const __m512d two = _mm512_set1_pd(2.0);
-  const __m512d log2e = _mm512_set1_pd(kLog2e);
-  const __m512d magic = _mm512_set1_pd(kRoundMagic);
-  const __m512d ln2hi = _mm512_set1_pd(kLn2Hi), ln2lo = _mm512_set1_pd(kLn2Lo);
-  const __m512d p1 = _mm512_set1_pd(kP1), p2 = _mm512_set1_pd(kP2),
-                p3 = _mm512_set1_pd(kP3), p4 = _mm512_set1_pd(kP4),
-                p5 = _mm512_set1_pd(kP5);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d x = _mm512_loadu_pd(in + i);
-    // Fast path: |x| <= 700 (k-split scaling stays in the exponent range,
-    // results stay clear of overflow/underflow). NaN fails the compare.
-    const __mmask8 good =
-        _mm512_cmp_pd_mask(_mm512_and_pd(x, abs_mask), dom, _CMP_LE_OQ);
-
-    const __m512d t = _mm512_mul_pd(x, log2e);
-    const __m512d kd = _mm512_sub_pd(_mm512_add_pd(t, magic), magic);
-    const __m512i ki = _mm512_cvtpd_epi64(kd);  // exact: kd is integral
-
-    const __m512d hi = _mm512_sub_pd(x, _mm512_mul_pd(kd, ln2hi));
-    const __m512d lo = _mm512_mul_pd(kd, ln2lo);
-    const __m512d r = _mm512_sub_pd(hi, lo);
-    const __m512d z = _mm512_mul_pd(r, r);
-    const __m512d c = _mm512_sub_pd(
-        r,
-        _mm512_mul_pd(
-            z,
-            _mm512_add_pd(
-                p1,
-                _mm512_mul_pd(
-                    z,
-                    _mm512_add_pd(
-                        p2,
-                        _mm512_mul_pd(
-                            z, _mm512_add_pd(
-                                   p3, _mm512_mul_pd(
-                                           z, _mm512_add_pd(
-                                                  p4,
-                                                  _mm512_mul_pd(z, p5))))))))));
-    // y = 1 - ((lo - (r*c)/(2-c)) - hi)
-    const __m512d y = _mm512_sub_pd(
-        one,
-        _mm512_sub_pd(
-            _mm512_sub_pd(
-                lo, _mm512_div_pd(_mm512_mul_pd(r, c), _mm512_sub_pd(two, c))),
-            hi));
-
-    // Scale by 2^k1 * 2^k2, k1 = k>>1 (arithmetic), k2 = k - k1.
-    const __m512i k1 = _mm512_srai_epi64(ki, 1);
-    const __m512i k2 = _mm512_sub_epi64(ki, k1);
-    const __m512i e1 = _mm512_slli_epi64(
-        _mm512_add_epi64(k1, _mm512_set1_epi64(1023)), 52);
-    const __m512i e2 = _mm512_slli_epi64(
-        _mm512_add_epi64(k2, _mm512_set1_epi64(1023)), 52);
-    const __m512d res = _mm512_mul_pd(
-        _mm512_mul_pd(y, _mm512_castsi512_pd(e1)), _mm512_castsi512_pd(e2));
-
-    if (good == 0xFF) {
-      _mm512_storeu_pd(out + i, res);
-    } else {
-      alignas(64) double tmp[8];
-      _mm512_store_pd(tmp, res);
-      for (int lane = 0; lane < 8; ++lane) {
-        if (!(good & (1 << lane))) tmp[lane] = Exp(in[i + lane]);
-      }
-      _mm512_storeu_pd(out + i, _mm512_load_pd(tmp));
-    }
-  }
-  for (; i < n; ++i) out[i] = Exp(in[i]);
-}
-
 // --- megakernels: AVX-512 lanes -------------------------------------------
 //
 // Same structure as the AVX2 megakernel lanes: the four xoshiro lanes
@@ -2706,8 +1930,8 @@ __attribute__((target("avx512f,avx512dq"))) void ExpBlockAvx512(
 // the native rotate, hence the extended target), each group of 8 elements
 // consumes 2*wpv steps, and two step results are concatenated into the
 // 512-bit word vectors the Reg transform bodies expect — word order
-// matches the scratch-buffer loads exactly (step k's four outputs are
-// stream words 4k..4k+3). Entry requires phase == 0; group hits rewind
+// matches LaplaceTransformAvx512's loads of a FillUint64 buffer exactly
+// (step k's four outputs are stream words 4k..4k+3). Entry requires phase == 0; group hits rewind
 // to the checkpoint and re-consume scalar, as in the AVX2 lanes.
 
 __attribute__((target("avx512f,avx512dq,avx512vl"))) inline FusedScanHit
@@ -2720,39 +1944,6 @@ MegaHitAvx512(BlockRng::State* st, size_t i, __mmask8 mask, __m512d nu,
   const size_t consume = (static_cast<size_t>(lane) + 1) * wpv;
   for (size_t k = 0; k < consume; ++k) MegaNextWord(st);
   return {i + static_cast<size_t>(lane), lanes[lane]};
-}
-
-__attribute__((target("avx512f,avx512dq,avx512vl"))) FusedScanHit
-MegaLaplaceScanSumGeAvx512(BlockRng::State* st, double mu, double b,
-                           const double* a, double bar, size_t n) {
-  const __m512d vmu = _mm512_set1_pd(mu);
-  const __m512d vnb = _mm512_set1_pd(-b);
-  const __m512d vbar = _mm512_set1_pd(bar);
-  uint64_t* w = st->words.data();
-  __m256i s0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w));
-  __m256i s1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 4));
-  __m256i s2 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 8));
-  __m256i s3 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 12));
-  size_t i = 0;
-  // Deliberately not unrolled, for the same constant-pressure reason as
-  // FusedLaplaceScanSumGeAvx512.
-  for (; i + 8 <= n; i += 8) {
-    const __m256i c0 = s0, c1 = s1, c2 = s2, c3 = s3;
-    const __m256i r0 = lockstep::Step4Avx512(s0, s1, s2, s3);
-    const __m256i r1 = lockstep::Step4Avx512(s0, s1, s2, s3);
-    const __m256i r2 = lockstep::Step4Avx512(s0, s1, s2, s3);
-    const __m256i r3 = lockstep::Step4Avx512(s0, s1, s2, s3);
-    const __m512i v0 =
-        _mm512_inserti64x4(_mm512_castsi256_si512(r0), r1, 1);
-    const __m512i v1 =
-        _mm512_inserti64x4(_mm512_castsi256_si512(r2), r3, 1);
-    const __m512d nu = LaplaceNu8Avx512Reg(v0, v1, vmu, vnb);
-    const __m512d sum = _mm512_add_pd(_mm512_loadu_pd(a + i), nu);
-    const __mmask8 mask = _mm512_cmp_pd_mask(sum, vbar, _CMP_GE_OQ);
-    if (mask != 0) return MegaHitAvx512(st, i, mask, nu, 2, c0, c1, c2, c3);
-  }
-  MegaStoreAvx2(st, s0, s1, s2, s3);
-  return MegaScanSumGeScalar(st, mu, b, a, bar, n, i);
 }
 
 __attribute__((target("avx512f,avx512dq,avx512vl"))) FusedScanHit
@@ -2786,31 +1977,6 @@ MegaLaplaceScanSumGePairwiseAvx512(BlockRng::State* st, double mu, double b,
   }
   MegaStoreAvx2(st, s0, s1, s2, s3);
   return MegaScanSumGePairwiseScalar(st, mu, b, a, bars, rho, n, i);
-}
-
-__attribute__((target("avx512f,avx512dq,avx512vl"))) FusedScanHit
-MegaExpScanSumGeAvx512(BlockRng::State* st, double b, const double* a,
-                       double bar, size_t n) {
-  const __m512d vnb = _mm512_set1_pd(-b);
-  const __m512d vbar = _mm512_set1_pd(bar);
-  uint64_t* w = st->words.data();
-  __m256i s0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w));
-  __m256i s1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 4));
-  __m256i s2 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 8));
-  __m256i s3 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 12));
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i c0 = s0, c1 = s1, c2 = s2, c3 = s3;
-    const __m256i r0 = lockstep::Step4Avx512(s0, s1, s2, s3);
-    const __m256i r1 = lockstep::Step4Avx512(s0, s1, s2, s3);
-    const __m512i v = _mm512_inserti64x4(_mm512_castsi256_si512(r0), r1, 1);
-    const __m512d nu = ExpNu8Avx512Reg(v, vnb);
-    const __m512d sum = _mm512_add_pd(_mm512_loadu_pd(a + i), nu);
-    const __mmask8 mask = _mm512_cmp_pd_mask(sum, vbar, _CMP_GE_OQ);
-    if (mask != 0) return MegaHitAvx512(st, i, mask, nu, 1, c0, c1, c2, c3);
-  }
-  MegaStoreAvx2(st, s0, s1, s2, s3);
-  return MegaExpScanSumGeScalar(st, b, a, bar, n, i);
 }
 
 __attribute__((target("avx512f,avx512dq,avx512vl"))) FusedScanHit
@@ -2905,8 +2071,8 @@ MegaFillMinSpansAvx512(BlockRng::State* st, size_t count, size_t wpv,
 // Bounded scan lanes: the AVX2 bounded lanes' group-skip test at 8-wide —
 // top 53 bits of the group's magnitude words against the skip threshold
 // with one unsigned compare mask; a zero mask bypasses the whole
-// transform-and-test body. Mixed groups run the full body and match the
-// unbounded lane bit for bit (above-threshold lanes provably cannot
+// transform-and-test body. Mixed groups run the full body and match an
+// unskipped group bit for bit (above-threshold lanes provably cannot
 // fire the computed positive test).
 
 __attribute__((target("avx512f,avx512dq,avx512vl"))) FusedScanHit
@@ -3393,37 +2559,6 @@ MegaExpFillMinScanSpansPairwiseAvx512(
   return found;
 }
 
-// Scratch-buffer skipped-word count at 8-wide for the composition mode.
-
-__attribute__((target("avx512f,avx512dq,avx512vl"))) size_t
-SkipWordCountBlockAvx512(const uint64_t* words, size_t n, size_t wpv,
-                         uint64_t skip_word) {
-  const __m512i vskip = _mm512_set1_epi64(static_cast<int64_t>(skip_word));
-  size_t c = 0;
-  size_t i = 0;
-  if (wpv == 2) {
-    for (; i + 16 <= n; i += 16) {
-      const __m512i v0 = _mm512_loadu_si512(words + i);
-      const __m512i v1 = _mm512_loadu_si512(words + i + 8);
-      const __m512i mag53 =
-          _mm512_srli_epi64(_mm512_unpacklo_epi64(v0, v1), 11);
-      const __mmask8 live = _mm512_cmplt_epu64_mask(mag53, vskip);
-      c += 8 - static_cast<unsigned>(
-                   __builtin_popcount(static_cast<unsigned>(live)));
-    }
-  } else {
-    for (; i + 8 <= n; i += 8) {
-      const __m512i v = _mm512_loadu_si512(words + i);
-      const __mmask8 live =
-          _mm512_cmplt_epu64_mask(_mm512_srli_epi64(v, 11), vskip);
-      c += 8 - static_cast<unsigned>(
-                   __builtin_popcount(static_cast<unsigned>(live)));
-    }
-  }
-  for (; i < n; i += wpv) c += (words[i] >> 11) >= skip_word;
-  return c;
-}
-
 }  // namespace
 
 #pragma GCC diagnostic pop
@@ -3446,24 +2581,6 @@ void LogBlock(std::span<const double> in, std::span<double> out) {
   }
 #endif
   for (size_t i = 0; i < in.size(); ++i) out[i] = Log(in[i]);
-}
-
-void ExpBlock(std::span<const double> in, std::span<double> out) {
-  SVT_CHECK(in.size() == out.size())
-      << "ExpBlock size mismatch: " << in.size() << " vs " << out.size();
-#if SVT_VECMATH_HAVE_AVX512
-  if (ActiveDispatchLevel() == DispatchLevel::kAvx512) {
-    ExpBlockAvx512(in.data(), out.data(), in.size());
-    return;
-  }
-#endif
-#if SVT_VECMATH_HAVE_AVX2
-  if (ActiveDispatchLevel() >= DispatchLevel::kAvx2) {
-    ExpBlockAvx2(in.data(), out.data(), in.size());
-    return;
-  }
-#endif
-  for (size_t i = 0; i < in.size(); ++i) out[i] = Exp(in[i]);
 }
 
 void NegLogUnitPositiveBlock(std::span<const uint64_t> words, size_t stride,
@@ -3529,29 +2646,6 @@ double MaxBlock(std::span<const double> in) {
 #endif
   double m = in[0];
   for (double x : in) m = std::max(m, x);
-  return m;
-}
-
-uint64_t MinWordBlock(std::span<const uint64_t> words, size_t stride) {
-  SVT_CHECK(stride == 1 || stride == 2)
-      << "MinWordBlock stride must be 1 or 2, got " << stride;
-  SVT_CHECK(!words.empty() && words.size() % stride == 0)
-      << "MinWordBlock needs a non-empty multiple of stride, got "
-      << words.size();
-#if SVT_VECMATH_HAVE_AVX512
-  if (ActiveDispatchLevel() == DispatchLevel::kAvx512) {
-    return MinWordBlockAvx512(words.data(), stride, words.size() / stride);
-  }
-#endif
-#if SVT_VECMATH_HAVE_AVX2
-  if (ActiveDispatchLevel() >= DispatchLevel::kAvx2) {
-    return MinWordBlockAvx2(words.data(), stride, words.size() / stride);
-  }
-#endif
-  uint64_t m = words[0];
-  for (size_t i = 0; i < words.size(); i += stride) {
-    m = std::min(m, words[i]);
-  }
   return m;
 }
 
@@ -3624,26 +2718,6 @@ uint8_t QuantizedSpanMin(std::span<const uint8_t> codes) {
   return m;
 }
 
-size_t FindFirstSumGe(std::span<const double> a, std::span<const double> b,
-                      double bar) {
-  SVT_CHECK(a.size() == b.size())
-      << "FindFirstSumGe size mismatch: " << a.size() << " vs " << b.size();
-#if SVT_VECMATH_HAVE_AVX512
-  if (ActiveDispatchLevel() == DispatchLevel::kAvx512) {
-    return FindFirstSumGeAvx512(a.data(), b.data(), bar, a.size());
-  }
-#endif
-#if SVT_VECMATH_HAVE_AVX2
-  if (ActiveDispatchLevel() >= DispatchLevel::kAvx2) {
-    return FindFirstSumGeAvx2(a.data(), b.data(), bar, a.size());
-  }
-#endif
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i] + b[i] >= bar) return i;
-  }
-  return a.size();
-}
-
 size_t FindFirstGe(std::span<const double> a, double bar) {
 #if SVT_VECMATH_HAVE_AVX512
   if (ActiveDispatchLevel() == DispatchLevel::kAvx512) {
@@ -3660,7 +2734,6 @@ size_t FindFirstGe(std::span<const double> a, double bar) {
   }
   return a.size();
 }
-
 
 size_t FindFirstGePairwise(std::span<const double> a,
                            std::span<const double> bars, double rho) {
@@ -3683,119 +2756,6 @@ size_t FindFirstGePairwise(std::span<const double> a,
   return a.size();
 }
 
-size_t FindFirstSumGePairwise(std::span<const double> a,
-                              std::span<const double> b,
-                              std::span<const double> bars, double rho) {
-  SVT_CHECK(a.size() == b.size() && a.size() == bars.size())
-      << "FindFirstSumGePairwise size mismatch: " << a.size() << " vs "
-      << b.size() << " vs " << bars.size();
-#if SVT_VECMATH_HAVE_AVX512
-  if (ActiveDispatchLevel() == DispatchLevel::kAvx512) {
-    return FindFirstSumGePairwiseAvx512(a.data(), b.data(), bars.data(), rho,
-                                        a.size());
-  }
-#endif
-#if SVT_VECMATH_HAVE_AVX2
-  if (ActiveDispatchLevel() >= DispatchLevel::kAvx2) {
-    return FindFirstSumGePairwiseAvx2(a.data(), b.data(), bars.data(), rho,
-                                      a.size());
-  }
-#endif
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i] + b[i] >= bars[i] + rho) return i;
-  }
-  return a.size();
-}
-
-FusedScanHit FusedLaplaceScanGe(std::span<const uint64_t> words, double mu,
-                                double b, double bar) {
-  SVT_CHECK(words.size() % 2 == 0)
-      << "FusedLaplaceScanGe needs (magnitude, sign) word pairs, got "
-      << words.size() << " words";
-  const size_t n = words.size() / 2;
-#if SVT_VECMATH_HAVE_AVX512
-  if (ActiveDispatchLevel() == DispatchLevel::kAvx512) {
-    return FusedLaplaceScanGeAvx512(words.data(), mu, b, bar, n);
-  }
-#endif
-#if SVT_VECMATH_HAVE_AVX2
-  if (ActiveDispatchLevel() >= DispatchLevel::kAvx2) {
-    return FusedLaplaceScanGeAvx2(words.data(), mu, b, bar, n);
-  }
-#endif
-  return FusedScanGeScalar(words.data(), mu, b, bar, n, 0);
-}
-
-FusedScanHit FusedLaplaceScanSumGe(std::span<const uint64_t> words, double mu,
-                                   double b, std::span<const double> a,
-                                   double bar) {
-  SVT_CHECK(words.size() == 2 * a.size())
-      << "FusedLaplaceScanSumGe size mismatch: " << words.size()
-      << " words for " << a.size() << " answers";
-#if SVT_VECMATH_HAVE_AVX512
-  if (ActiveDispatchLevel() == DispatchLevel::kAvx512) {
-    return FusedLaplaceScanSumGeAvx512(words.data(), mu, b, a.data(), bar,
-                                       a.size());
-  }
-#endif
-#if SVT_VECMATH_HAVE_AVX2
-  if (ActiveDispatchLevel() >= DispatchLevel::kAvx2) {
-    return FusedLaplaceScanSumGeAvx2(words.data(), mu, b, a.data(), bar,
-                                     a.size());
-  }
-#endif
-  return FusedScanSumGeScalar(words.data(), mu, b, a.data(), bar, a.size(),
-                              0);
-}
-
-FusedScanHit FusedLaplaceScanGePairwise(std::span<const uint64_t> words,
-                                        double mu, double b,
-                                        std::span<const double> bars,
-                                        double rho) {
-  SVT_CHECK(words.size() == 2 * bars.size())
-      << "FusedLaplaceScanGePairwise size mismatch: " << words.size()
-      << " words for " << bars.size() << " bars";
-#if SVT_VECMATH_HAVE_AVX512
-  if (ActiveDispatchLevel() == DispatchLevel::kAvx512) {
-    return FusedLaplaceScanGePairwiseAvx512(words.data(), mu, b, bars.data(),
-                                            rho, bars.size());
-  }
-#endif
-#if SVT_VECMATH_HAVE_AVX2
-  if (ActiveDispatchLevel() >= DispatchLevel::kAvx2) {
-    return FusedLaplaceScanGePairwiseAvx2(words.data(), mu, b, bars.data(),
-                                          rho, bars.size());
-  }
-#endif
-  return FusedScanGePairwiseScalar(words.data(), mu, b, bars.data(), rho,
-                                   bars.size(), 0);
-}
-
-FusedScanHit FusedLaplaceScanSumGePairwise(std::span<const uint64_t> words,
-                                           double mu, double b,
-                                           std::span<const double> a,
-                                           std::span<const double> bars,
-                                           double rho) {
-  SVT_CHECK(words.size() == 2 * a.size() && a.size() == bars.size())
-      << "FusedLaplaceScanSumGePairwise size mismatch: " << words.size()
-      << " words for " << a.size() << " answers and " << bars.size()
-      << " bars";
-#if SVT_VECMATH_HAVE_AVX512
-  if (ActiveDispatchLevel() == DispatchLevel::kAvx512) {
-    return FusedLaplaceScanSumGePairwiseAvx512(
-        words.data(), mu, b, a.data(), bars.data(), rho, a.size());
-  }
-#endif
-#if SVT_VECMATH_HAVE_AVX2
-  if (ActiveDispatchLevel() >= DispatchLevel::kAvx2) {
-    return FusedLaplaceScanSumGePairwiseAvx2(words.data(), mu, b, a.data(),
-                                             bars.data(), rho, a.size());
-  }
-#endif
-  return FusedScanSumGePairwiseScalar(words.data(), mu, b, a.data(),
-                                      bars.data(), rho, a.size(), 0);
-}
-
 void ExponentialTransformBlock(std::span<const uint64_t> words, double b,
                                std::span<double> out) {
   SVT_CHECK(words.size() == out.size())
@@ -3816,85 +2776,6 @@ void ExponentialTransformBlock(std::span<const uint64_t> words, double b,
   for (size_t i = 0; i < out.size(); ++i) {
     out[i] = ExpNuScalar(words[i], b);
   }
-}
-
-FusedScanHit FusedExpScanGe(std::span<const uint64_t> words, double b,
-                            double bar) {
-  const size_t n = words.size();
-#if SVT_VECMATH_HAVE_AVX512
-  if (ActiveDispatchLevel() == DispatchLevel::kAvx512) {
-    return FusedExpScanGeAvx512(words.data(), b, bar, n);
-  }
-#endif
-#if SVT_VECMATH_HAVE_AVX2
-  if (ActiveDispatchLevel() >= DispatchLevel::kAvx2) {
-    return FusedExpScanGeAvx2(words.data(), b, bar, n);
-  }
-#endif
-  return FusedExpScanGeScalar(words.data(), b, bar, n, 0);
-}
-
-FusedScanHit FusedExpScanSumGe(std::span<const uint64_t> words, double b,
-                               std::span<const double> a, double bar) {
-  SVT_CHECK(words.size() == a.size())
-      << "FusedExpScanSumGe size mismatch: " << words.size() << " words for "
-      << a.size() << " answers";
-#if SVT_VECMATH_HAVE_AVX512
-  if (ActiveDispatchLevel() == DispatchLevel::kAvx512) {
-    return FusedExpScanSumGeAvx512(words.data(), b, a.data(), bar, a.size());
-  }
-#endif
-#if SVT_VECMATH_HAVE_AVX2
-  if (ActiveDispatchLevel() >= DispatchLevel::kAvx2) {
-    return FusedExpScanSumGeAvx2(words.data(), b, a.data(), bar, a.size());
-  }
-#endif
-  return FusedExpScanSumGeScalar(words.data(), b, a.data(), bar, a.size(), 0);
-}
-
-FusedScanHit FusedExpScanGePairwise(std::span<const uint64_t> words, double b,
-                                    std::span<const double> bars, double rho) {
-  SVT_CHECK(words.size() == bars.size())
-      << "FusedExpScanGePairwise size mismatch: " << words.size()
-      << " words for " << bars.size() << " bars";
-#if SVT_VECMATH_HAVE_AVX512
-  if (ActiveDispatchLevel() == DispatchLevel::kAvx512) {
-    return FusedExpScanGePairwiseAvx512(words.data(), b, bars.data(), rho,
-                                        bars.size());
-  }
-#endif
-#if SVT_VECMATH_HAVE_AVX2
-  if (ActiveDispatchLevel() >= DispatchLevel::kAvx2) {
-    return FusedExpScanGePairwiseAvx2(words.data(), b, bars.data(), rho,
-                                      bars.size());
-  }
-#endif
-  return FusedExpScanGePairwiseScalar(words.data(), b, bars.data(), rho,
-                                      bars.size(), 0);
-}
-
-FusedScanHit FusedExpScanSumGePairwise(std::span<const uint64_t> words,
-                                       double b, std::span<const double> a,
-                                       std::span<const double> bars,
-                                       double rho) {
-  SVT_CHECK(words.size() == a.size() && a.size() == bars.size())
-      << "FusedExpScanSumGePairwise size mismatch: " << words.size()
-      << " words for " << a.size() << " answers and " << bars.size()
-      << " bars";
-#if SVT_VECMATH_HAVE_AVX512
-  if (ActiveDispatchLevel() == DispatchLevel::kAvx512) {
-    return FusedExpScanSumGePairwiseAvx512(words.data(), b, a.data(),
-                                           bars.data(), rho, a.size());
-  }
-#endif
-#if SVT_VECMATH_HAVE_AVX2
-  if (ActiveDispatchLevel() >= DispatchLevel::kAvx2) {
-    return FusedExpScanSumGePairwiseAvx2(words.data(), b, a.data(),
-                                         bars.data(), rho, a.size());
-  }
-#endif
-  return FusedExpScanSumGePairwiseScalar(words.data(), b, a.data(),
-                                         bars.data(), rho, a.size(), 0);
 }
 
 // --- megakernel dispatch entry points -------------------------------------
@@ -3970,32 +2851,6 @@ uint64_t MegaFillMinSpans(BlockRng::State* state, size_t count, size_t wpv,
                                 span_states);
 }
 
-FusedScanHit MegaLaplaceScanSumGe(BlockRng::State* state, double mu, double b,
-                                  std::span<const double> a, double bar) {
-  if (state->phase != 0 && ActiveDispatchLevel() >= DispatchLevel::kAvx2) {
-    const size_t p = MegaRealignElems(state->phase, 2);
-    if (p < a.size()) {
-      const FusedScanHit pre =
-          MegaScanSumGeScalar(state, mu, b, a.data(), bar, p, 0);
-      if (pre.index < p) return pre;
-      const FusedScanHit hit =
-          MegaLaplaceScanSumGe(state, mu, b, a.subspan(p), bar);
-      return {p + hit.index, hit.nu};
-    }
-  }
-#if SVT_VECMATH_HAVE_AVX512
-  if (ActiveDispatchLevel() == DispatchLevel::kAvx512 && state->phase == 0) {
-    return MegaLaplaceScanSumGeAvx512(state, mu, b, a.data(), bar, a.size());
-  }
-#endif
-#if SVT_VECMATH_HAVE_AVX2
-  if (ActiveDispatchLevel() >= DispatchLevel::kAvx2 && state->phase == 0) {
-    return MegaLaplaceScanSumGeAvx2(state, mu, b, a.data(), bar, a.size());
-  }
-#endif
-  return MegaScanSumGeScalar(state, mu, b, a.data(), bar, a.size(), 0);
-}
-
 FusedScanHit MegaLaplaceScanSumGePairwise(BlockRng::State* state, double mu,
                                           double b, std::span<const double> a,
                                           std::span<const double> bars,
@@ -4028,31 +2883,6 @@ FusedScanHit MegaLaplaceScanSumGePairwise(BlockRng::State* state, double mu,
 #endif
   return MegaScanSumGePairwiseScalar(state, mu, b, a.data(), bars.data(), rho,
                                      a.size(), 0);
-}
-
-FusedScanHit MegaExpScanSumGe(BlockRng::State* state, double b,
-                              std::span<const double> a, double bar) {
-  if (state->phase != 0 && ActiveDispatchLevel() >= DispatchLevel::kAvx2) {
-    const size_t p = MegaRealignElems(state->phase, 1);
-    if (p < a.size()) {
-      const FusedScanHit pre =
-          MegaExpScanSumGeScalar(state, b, a.data(), bar, p, 0);
-      if (pre.index < p) return pre;
-      const FusedScanHit hit = MegaExpScanSumGe(state, b, a.subspan(p), bar);
-      return {p + hit.index, hit.nu};
-    }
-  }
-#if SVT_VECMATH_HAVE_AVX512
-  if (ActiveDispatchLevel() == DispatchLevel::kAvx512 && state->phase == 0) {
-    return MegaExpScanSumGeAvx512(state, b, a.data(), bar, a.size());
-  }
-#endif
-#if SVT_VECMATH_HAVE_AVX2
-  if (ActiveDispatchLevel() >= DispatchLevel::kAvx2 && state->phase == 0) {
-    return MegaExpScanSumGeAvx2(state, b, a.data(), bar, a.size());
-  }
-#endif
-  return MegaExpScanSumGeScalar(state, b, a.data(), bar, a.size(), 0);
 }
 
 FusedScanHit MegaExpScanSumGePairwise(BlockRng::State* state, double b,
@@ -4418,32 +3248,6 @@ size_t MegaExpFillMinScanSpansPairwise(
   return MegaExpFillMinScanSpansPairwiseScalar(
       state, b, a.data(), bars.data(), rho, skip_words, n, span_elems,
       span_min, span_states, hits, max_hits, skipped_out);
-}
-
-size_t SkipWordCountBlock(std::span<const std::uint64_t> words, size_t wpv,
-                          uint64_t skip_word) {
-  SVT_CHECK(wpv == 1 || wpv == 2)
-      << "SkipWordCountBlock words-per-variate must be 1 or 2, got " << wpv;
-  SVT_CHECK(words.size() % wpv == 0)
-      << "SkipWordCountBlock size not a words-per-variate multiple: "
-      << words.size();
-  if (skip_word >= kMegaNeverSkip) return 0;
-#if SVT_VECMATH_HAVE_AVX512
-  if (ActiveDispatchLevel() == DispatchLevel::kAvx512) {
-    return SkipWordCountBlockAvx512(words.data(), words.size(), wpv,
-                                    skip_word);
-  }
-#endif
-#if SVT_VECMATH_HAVE_AVX2
-  if (ActiveDispatchLevel() >= DispatchLevel::kAvx2) {
-    return SkipWordCountBlockAvx2(words.data(), words.size(), wpv, skip_word);
-  }
-#endif
-  size_t c = 0;
-  for (size_t i = 0; i < words.size(); i += wpv) {
-    c += (words[i] >> 11) >= skip_word;
-  }
-  return c;
 }
 
 }  // namespace vec

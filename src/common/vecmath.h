@@ -24,12 +24,11 @@
 //   * every step is an IEEE-754 correctly-rounded primitive (+ - * /),
 //     identical scalar and per-SIMD-lane;
 //   * no FMA is emitted in any lane: the SIMD paths use explicit
-//     non-fused mul/add intrinsics, and vecmath.cc is compiled with
+//     non-fused mul/add intrinsics, and the library is compiled with
 //     -ffp-contract=off so the compiler cannot contract the scalar lane
 //     (see CMakeLists.txt);
-//   * special operands (zero, subnormal, negative, ±inf, NaN, and for Exp
-//     magnitudes beyond ±700) are detected per SIMD lane and delegated to
-//     the scalar reference kernel.
+//   * special operands (zero, subnormal, negative, ±inf, NaN) are detected
+//     per SIMD lane and delegated to the scalar reference kernel.
 //
 // Accuracy: the kernels track libm to within a few ULP (the bound is
 // asserted in tests/common_vecmath_test.cc); they are *not* bit-equal to
@@ -116,10 +115,6 @@ double NegLogUnitPositive(std::uint64_t word);
 /// allowed; other overlap is not. in.size() must equal out.size().
 void LogBlock(std::span<const double> in, std::span<double> out);
 
-/// out[i] = Exp(in[i]) at the active dispatch level; same aliasing and
-/// bit-identity contract as LogBlock.
-void ExpBlock(std::span<const double> in, std::span<double> out);
-
 /// Fused sampling kernel: out[i] = -Log(u) where u is words[i * stride]
 /// mapped onto the (0, 1] 53-bit lattice exactly as
 /// Rng::ToUnitDoublePositive — i.e. the exponential magnitude behind every
@@ -172,13 +167,6 @@ double MaxBlock(std::span<const double> in);
 /// test, so any lower bound over the remaining thresholds stays sound).
 double MinBlock(std::span<const double> in);
 
-/// Reduction: minimum of words[0], words[stride], words[2*stride], ...
-/// (words.size() must be a multiple of stride; at least one element).
-/// Exact at every dispatch level. stride 2 is the batch engine's bound on
-/// the magnitude uniforms (the even words of a ν chunk).
-std::uint64_t MinWordBlock(std::span<const std::uint64_t> words,
-                           std::size_t stride);
-
 // --- Quantized bound reductions -------------------------------------------
 //
 // Integer max/min over the quantized bound codes of the two-level bound
@@ -199,21 +187,16 @@ std::uint16_t QuantizedSpanMax(std::span<const std::uint16_t> codes);
 std::uint8_t QuantizedSpanMin(std::span<const std::uint8_t> codes);
 std::uint16_t QuantizedSpanMin(std::span<const std::uint16_t> codes);
 
-/// Returns the smallest i with a[i] + b[i] >= bar — the SVT positive test
-/// of the batch engine's tier-2 compare-scan — or a.size() if no element
-/// passes. One correctly-rounded add and one ordered >= per element, so
-/// the index is bit-identical at every dispatch level (NaN sums never
-/// match, as in the scalar loop). a.size() must equal b.size().
-std::size_t FindFirstSumGe(std::span<const double> a,
-                           std::span<const double> b, double bar);
-
-/// As FindFirstSumGe without the addend: smallest i with a[i] >= bar.
+/// Returns the smallest i with a[i] >= bar — the positive test of the
+/// batch engine's ν-free scan (variants without query noise) — or a.size()
+/// if no element passes. One ordered >= per element, so the index is
+/// bit-identical at every dispatch level (NaN never matches, as in the
+/// scalar loop).
 std::size_t FindFirstGe(std::span<const double> a, double bar);
 
 /// Per-query-threshold compare-scan: smallest i with a[i] >= bars[i] + rho
-/// — the SVT positive test when every query carries its own threshold
-/// (Alg. 7's general form; the bar varies per element, so the common-
-/// threshold kernels above don't apply). The bar sum bars[i] + rho is one
+/// — the ν-free SVT positive test when every query carries its own
+/// threshold (Alg. 7's general form). The bar sum bars[i] + rho is one
 /// correctly-rounded add and the compare is ordered >=, exactly the
 /// streaming test, so the index is bit-identical at every dispatch level
 /// (NaN operands never match, as in the scalar loop). a.size() must equal
@@ -221,124 +204,37 @@ std::size_t FindFirstGe(std::span<const double> a, double bar);
 std::size_t FindFirstGePairwise(std::span<const double> a,
                                 std::span<const double> bars, double rho);
 
-/// The general per-query positive test with query noise: smallest i with
-/// a[i] + b[i] >= bars[i] + rho (each side one rounded add, ordered >=).
-/// Sizes must match; returns a.size() if no element passes.
-std::size_t FindFirstSumGePairwise(std::span<const double> a,
-                                   std::span<const double> b,
-                                   std::span<const double> bars, double rho);
-
-// --- Fused single-pass sample-and-scan kernels ----------------------------
-//
-// The batch engine's tier-2 scans used to be three passes over L1-sized
-// scratch per chunk: FillUint64 → words, LaplaceTransformBlock → ν block,
-// FindFirst* over the ν block. The FusedLaplaceScan* family collapses the
-// last two: it reads the raw word pairs, applies the complete Laplace
-// inverse-CDF transform in registers, and tests the SVT positive condition
-// in the same pass — the ν block is never materialized. The transform is
-// operation-for-operation the one LaplaceTransformBlock runs (the kernels
-// are *defined* by that composition, which the tests diff against at every
-// dispatch level), so the hit index, the returned ν, and the word→ν
-// lattice are bit-identical to the unfused sequence — fusion is
-// draw-order-neutral and needed no golden re-record.
-//
-// Chunk tails shorter than one SIMD width delegate to the scalar lane,
-// the same rule as every other kernel in the family (regression-tested on
-// odd tails and empty spans).
-
-/// Result of a fused sample-and-scan pass.
+/// Result of a megakernel sample-and-scan pass.
 struct FusedScanHit {
   /// First passing element, or the element count when none passes.
   std::size_t index = 0;
-  /// The transformed ν at `index` — exactly the value the unfused
-  /// LaplaceTransformBlock would have written there (the caller needs it
-  /// for Alg. 3's q+ν output and as the comparison noise of the positive).
-  /// 0.0 when there is no hit.
+  /// The transformed ν at `index` — exactly the value LaplaceTransformBlock
+  /// (or ExponentialTransformBlock) would have written there from the same
+  /// words (the caller needs it for Alg. 3's q+ν output and as the
+  /// comparison noise of the positive). 0.0 when there is no hit.
   double nu = 0.0;
 };
 
-/// Pure-noise scan: smallest i with ν_i >= bar, where ν_i is the
-/// Laplace(mu, b) transform of the word pair (words[2i], words[2i+1]) —
-/// magnitude word even, sign word odd, as in LaplaceTransformBlock.
-/// words.size() must be even; the element count is words.size() / 2.
-FusedScanHit FusedLaplaceScanGe(std::span<const std::uint64_t> words,
-                                double mu, double b, double bar);
-
-/// The common-threshold tier-2 positive test, fused: smallest i with
-/// a[i] + ν_i >= bar (one rounded add, ordered >=, exactly the streaming
-/// test). words.size() must be 2 * a.size().
-FusedScanHit FusedLaplaceScanSumGe(std::span<const std::uint64_t> words,
-                                   double mu, double b,
-                                   std::span<const double> a, double bar);
-
-/// Per-query-bar pure-noise scan: smallest i with ν_i >= bars[i] + rho.
-/// words.size() must be 2 * bars.size().
-FusedScanHit FusedLaplaceScanGePairwise(std::span<const std::uint64_t> words,
-                                        double mu, double b,
-                                        std::span<const double> bars,
-                                        double rho);
-
-/// The per-query-threshold tier-2 positive test, fused: smallest i with
-/// a[i] + ν_i >= bars[i] + rho (each side one rounded add, ordered >=).
-/// words.size() must be 2 * a.size(); a.size() must equal bars.size().
-FusedScanHit FusedLaplaceScanSumGePairwise(
-    std::span<const std::uint64_t> words, double mu, double b,
-    std::span<const double> a, std::span<const double> bars, double rho);
-
-// --- Fused exponential-noise sample-and-scan kernels ----------------------
-//
-// The exponential-noise counterparts of the FusedLaplaceScan* family, for
-// variants whose query noise ν is one-sided Exponential(b) rather than
-// Laplace. One raw word per variate (no sign word), so words.size() equals
-// the element count — not twice it. Each kernel is *defined* as the
-// composition ExponentialTransformBlock + FindFirst* (the tests diff fused
-// against unfused at every dispatch level), so hit index, returned ν, and
-// the word→ν lattice are bit-identical to the unfused sequence. Tails
-// shorter than one SIMD width delegate to the scalar lane.
-
-/// Pure-noise scan: smallest i with ν_i >= bar, where
-/// ν_i = b * -Log(ToUnitDoublePositive(words[i])). The element count is
-/// words.size().
-FusedScanHit FusedExpScanGe(std::span<const std::uint64_t> words, double b,
-                            double bar);
-
-/// The common-threshold tier-2 positive test, fused: smallest i with
-/// a[i] + ν_i >= bar (one rounded add, ordered >=, exactly the streaming
-/// test). words.size() must equal a.size().
-FusedScanHit FusedExpScanSumGe(std::span<const std::uint64_t> words, double b,
-                               std::span<const double> a, double bar);
-
-/// Per-query-bar pure-noise scan: smallest i with ν_i >= bars[i] + rho.
-/// words.size() must equal bars.size().
-FusedScanHit FusedExpScanGePairwise(std::span<const std::uint64_t> words,
-                                    double b, std::span<const double> bars,
-                                    double rho);
-
-/// The per-query-threshold tier-2 positive test, fused: smallest i with
-/// a[i] + ν_i >= bars[i] + rho (each side one rounded add, ordered >=).
-/// words.size() must equal a.size(); a.size() must equal bars.size().
-FusedScanHit FusedExpScanSumGePairwise(std::span<const std::uint64_t> words,
-                                       double b, std::span<const double> a,
-                                       std::span<const double> bars,
-                                       double rho);
-
 // --- Lane-resident generate-and-scan megakernels --------------------------
 //
-// The fused kernels above still read their raw words from an L1 scratch
-// buffer that a FillUint64 pass wrote moments earlier — every word makes
-// one round trip through memory. The Mega* family closes that last seam:
-// it takes a BlockRng::State*, steps the four lockstep xoshiro256++ lanes
-// *inside* the kernel (common/rng_lockstep.h holds the shared step
-// primitives), and feeds the freshly generated words straight into the
-// transform-and-test pipeline — words live only in registers.
+// The batch engine's tier-2 kernels. Each takes a BlockRng::State*, steps
+// the four lockstep xoshiro256++ lanes *inside* the kernel
+// (common/rng_lockstep.h holds the shared step primitives), and feeds the
+// freshly generated words straight into the ν transform and the SVT
+// positive test in the same register pass — words live only in registers
+// and the ν block is never materialized.
 //
-// Stream contract (pinned; equivalence-tested at every dispatch level):
-// the in-kernel generator walks exactly the BlockRng stream. A megakernel
-// consuming k words from a given State produces word for word what
-// BlockRng::Fill of k words from that State would have, and leaves the
-// State at the exact position that Fill would have — in-kernel generation
-// is stream-neutral, so megakernel and FillUint64 + fused-scan composition
-// are interchangeable mid-stream in either direction.
+// Definition (pinned; tested at every dispatch level): a megakernel over
+// n elements computes exactly what this sequence computes —
+//   FillUint64 of n * wpv words from the same State;
+//   LaplaceTransformBlock (or ExponentialTransformBlock) over them → ν;
+//   the streaming positive test a[i] + ν[i] >= bar (per-query:
+//   a[i] + ν[i] >= bars[i] + rho), one rounded add per side, ordered >=;
+// returning the first passing index with its ν, and leaving the State
+// where that FillUint64 would have (or, on a hit, after the hit's words —
+// see below). In-kernel generation is therefore stream-neutral: a
+// megakernel consuming k words produces word for word what BlockRng::Fill
+// of k words would have.
 //
 // State advance: a scan that returns hit.index < n has consumed exactly
 // (hit.index + 1) * wpv words (wpv = 2 for Laplace, 1 for exponential);
@@ -356,38 +252,29 @@ FusedScanHit FusedExpScanSumGePairwise(std::span<const std::uint64_t> words,
 /// first word into span_states[j] (skipped when null). Returns the
 /// minimum over all magnitude words. Spans partition [0, count) in order;
 /// the last may be short; span_min must hold ceil(count / span_elems)
-/// entries. This is the megakernel replacement for FillUint64 +
-/// MinWordBlock: the tier-1/tier-2 bound hierarchy gets its per-span and
-/// per-chunk minima (bit-identical — unsigned min is association-free)
-/// while the words are generated, and the recorded span states let the
-/// scan phase regenerate exactly the spans the bound could not discharge.
+/// entries. Defined as FillUint64 + a scalar min over every wpv-th word
+/// per span: the tier-1/tier-2 bound hierarchy gets its per-span and
+/// per-chunk minima (exact — unsigned min is association-free) while the
+/// words are generated, and the recorded span states let the scan phase
+/// regenerate exactly the spans the bound could not discharge.
 std::uint64_t MegaFillMinSpans(BlockRng::State* state, std::size_t count,
                                std::size_t wpv, std::size_t span_elems,
                                std::uint64_t* span_min,
                                BlockRng::State* span_states);
 
-/// The common-threshold tier-2 positive test as a megakernel: smallest i
-/// in [0, n) with a[i] + ν_i >= bar, where ν_i is the Laplace(mu, b)
-/// transform of the word pair generated in-kernel for element i. n =
-/// a.size(); hit index, ν payload, and consumed stream position are
-/// bit-identical to FillUint64(2n words) + FusedLaplaceScanSumGe.
-FusedScanHit MegaLaplaceScanSumGe(BlockRng::State* state, double mu, double b,
-                                  std::span<const double> a, double bar);
-
 /// The per-query-threshold tier-2 positive test as a megakernel: smallest
-/// i with a[i] + ν_i >= bars[i] + rho. a.size() must equal bars.size().
+/// i with a[i] + ν_i >= bars[i] + rho, where ν_i is the Laplace(mu, b)
+/// transform of the word pair generated in-kernel for element i.
+/// a.size() must equal bars.size(). The batch engine calls it for the
+/// remainder of a span after a positive, where no skip word is derived.
 FusedScanHit MegaLaplaceScanSumGePairwise(BlockRng::State* state, double mu,
                                           double b, std::span<const double> a,
                                           std::span<const double> bars,
                                           double rho);
 
-/// Exponential-noise megakernel (wpv = 1): smallest i with
-/// a[i] + ν_i >= bar, ν_i = b * -Log(ToUnitDoublePositive(word_i)).
-FusedScanHit MegaExpScanSumGe(BlockRng::State* state, double b,
-                              std::span<const double> a, double bar);
-
-/// Exponential-noise per-query megakernel: smallest i with
-/// a[i] + ν_i >= bars[i] + rho. a.size() must equal bars.size().
+/// Exponential-noise per-query megakernel (wpv = 1): smallest i with
+/// a[i] + ν_i >= bars[i] + rho, ν_i = b * -Log(ToUnitDoublePositive(word_i)).
+/// a.size() must equal bars.size().
 FusedScanHit MegaExpScanSumGePairwise(BlockRng::State* state, double b,
                                       std::span<const double> a,
                                       std::span<const double> bars,
@@ -409,8 +296,9 @@ FusedScanHit MegaExpScanSumGePairwise(BlockRng::State* state, double b,
 // threshold. The raw stream advance is unchanged — skipped elements'
 // words are still generated and consumed in registers — and skipped
 // elements cannot hit, so hit indices, ν payloads, and end states are
-// bit-identical to the unbounded megakernels (and therefore to the
-// FillUint64 + fused-scan composition).
+// bit-identical to the definition above (skip_word = kMegaNeverSkipWord
+// skips nothing, which is how the tests check the bounded kernels against
+// it).
 
 /// Conservative skip threshold for the bounded scans: the largest W such
 /// that every element whose magnitude word w has (w >> 11) >= W provably
@@ -425,16 +313,20 @@ FusedScanHit MegaExpScanSumGePairwise(BlockRng::State* state, double b,
 /// lane relies on for its signed 64-bit compare.
 std::uint64_t MegaSkipWordThreshold(double a_max, double bar, double b);
 
-/// MegaLaplaceScanSumGe with transform skipping: bit-identical result
-/// and end state, evaluating the log transform only for lockstep groups
+/// The common-threshold tier-2 positive test as a megakernel: smallest i
+/// in [0, n) with a[i] + ν_i >= bar, where ν_i is the Laplace(mu, b)
+/// transform of the word pair generated in-kernel for element i (n =
+/// a.size()), evaluating the log transform only for lockstep groups
 /// holding a magnitude word below skip_word. skip_word must come from
-/// MegaSkipWordThreshold(a_max, bar, b) with a_max >= max(a[i]).
+/// MegaSkipWordThreshold(a_max, bar, b) with a_max >= max(a[i]), or be
+/// kMegaNeverSkipWord.
 FusedScanHit MegaLaplaceScanSumGeBounded(BlockRng::State* state, double mu,
                                          double b, std::span<const double> a,
                                          double bar, std::uint64_t skip_word);
 
-/// MegaExpScanSumGe with transform skipping; same contract as the
-/// Laplace variant (wpv = 1: every word is a magnitude word).
+/// Exponential-noise common-threshold scan with transform skipping; same
+/// contract as the Laplace variant (wpv = 1: every word is a magnitude
+/// word).
 FusedScanHit MegaExpScanSumGeBounded(BlockRng::State* state, double b,
                                      std::span<const double> a, double bar,
                                      std::uint64_t skip_word);
@@ -461,8 +353,8 @@ inline constexpr std::uint64_t kMegaNeverSkipWord = std::uint64_t{1} << 53;
 /// first max_hits are stored in hits (a larger return value signals the
 /// record is incomplete and the tail must be rescanned, e.g. with the
 /// bounded scans from the recorded span checkpoints). Hit indices and ν
-/// payloads are bit-identical to the unbounded scan kernels' — and so to
-/// the FillUint64 + fused-scan composition.
+/// payloads are bit-identical to the definition above applied to every
+/// element.
 std::size_t MegaLaplaceFillMinScanSpans(
     BlockRng::State* state, double mu, double b, std::span<const double> a,
     double bar, std::uint64_t skip_word, std::size_t span_elems,
@@ -493,7 +385,7 @@ std::size_t MegaExpFillMinScanSpans(BlockRng::State* state, double b,
 // fill-min-scan forms below reload it at every span boundary. Skipped
 // elements' words are still generated and consumed (stream-neutral), so
 // hit indices, ν payloads, and end states stay bit-identical to the
-// unbounded pairwise kernels and the FillUint64 + fused composition.
+// unbounded pairwise kernels and to the definition above.
 
 /// MegaLaplaceScanSumGePairwise with transform skipping: bit-identical
 /// result and end state, evaluating the transform only for lockstep
@@ -538,15 +430,6 @@ std::size_t MegaExpFillMinScanSpansPairwise(
     std::size_t span_elems, std::uint64_t* span_min,
     BlockRng::State* span_states, FusedScanHit* hits, std::size_t max_hits,
     std::uint64_t* skipped_out);
-
-/// Scratch-buffer counterpart of the fused passes' skipped-element count,
-/// for the composition kernel mode: the number of element magnitude words
-/// (every wpv-th word, starting at the first) in `words` whose top 53
-/// bits are at or above skip_word. Dispatched like the other word-block
-/// reductions so keeping the counter mode-independent does not put a
-/// scalar drag on the composition A/B baseline.
-std::size_t SkipWordCountBlock(std::span<const std::uint64_t> words,
-                               std::size_t wpv, std::uint64_t skip_word);
 
 }  // namespace vec
 }  // namespace svt

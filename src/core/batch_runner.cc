@@ -1,12 +1,8 @@
 #include "core/batch_runner.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
-#include <iostream>
-#include <string_view>
 
 #include "common/check.h"
 #include "common/distributions.h"
@@ -16,38 +12,7 @@
 
 namespace svt {
 
-bool ParseBatchKernelMode(std::string_view value, BatchKernelMode* mode) {
-  SVT_CHECK(mode != nullptr);
-  if (value == "megakernel") {
-    *mode = BatchKernelMode::kMegakernel;
-    return true;
-  }
-  if (value == "composition") {
-    *mode = BatchKernelMode::kComposition;
-    return true;
-  }
-  return false;
-}
-
 namespace {
-
-BatchKernelMode InitialKernelMode() {
-  const char* env = std::getenv("SVT_BATCH_KERNELS");
-  if (env == nullptr) return BatchKernelMode::kMegakernel;
-  BatchKernelMode mode = BatchKernelMode::kMegakernel;
-  if (!ParseBatchKernelMode(env, &mode)) {
-    // Latched once (KernelModeVar's function-local static), so an
-    // unrecognized value warns exactly once per process.
-    std::cerr << "svt: unrecognized SVT_BATCH_KERNELS value '" << env
-              << "'; falling back to 'megakernel'\n";
-  }
-  return mode;
-}
-
-std::atomic<int>& KernelModeVar() {
-  static std::atomic<int> mode{static_cast<int>(InitialKernelMode())};
-  return mode;
-}
 
 static_assert(Response{}.outcome == Outcome::kBelow,
               "value-initialized Response must be ⊥: the batch engine emits "
@@ -56,10 +21,6 @@ static_assert(Response{}.outcome == Outcome::kBelow,
 static_assert(BatchRunner::kChunkSize / BatchRunner::kBoundSpan <=
                   BoundPipeline::kMaxSpans,
               "BoundPipeline's static span plan must cover a full chunk");
-static_assert(BatchRunner::kFusedSubBlock % BatchRunner::kBoundSpan == 0,
-              "per-query sub-blocks must align on bound-span boundaries so "
-              "sub-block span indices map onto the chunk's BoundPipeline "
-              "plan");
 
 // Streaming-identical single draw of a role's noise kind (the batch slow
 // path at positives must consume the base stream exactly as Process()
@@ -76,8 +37,8 @@ double SampleNoise(Rng& rng, NoiseKind kind, double scale) {
 }
 
 // Raw 64-bit words one ν variate consumes — the distribution-traits knob
-// that threads the noise axis through the fill sizes, the bound pipeline's
-// word reduction stride, and the fused-kernel spans below. Laplace: 2
+// that threads the noise axis through the megakernels' word stride, the
+// owed-word count of jumped chunks, and checkpoint-cursor rebuilds. Laplace: 2
 // (magnitude word + sign word). Exponential: 1 (one-sided, no sign word).
 size_t WordsPerVariate(NoiseKind kind) {
   return kind == NoiseKind::kExponential ? 1 : 2;
@@ -85,14 +46,7 @@ size_t WordsPerVariate(NoiseKind kind) {
 
 }  // namespace
 
-BatchKernelMode ActiveBatchKernelMode() {
-  return static_cast<BatchKernelMode>(
-      KernelModeVar().load(std::memory_order_relaxed));
-}
-
-void SetBatchKernelMode(BatchKernelMode mode) {
-  KernelModeVar().store(static_cast<int>(mode), std::memory_order_relaxed);
-}
+BatchKernelMode ActiveBatchKernelMode() { return BatchKernelMode::kMegakernel; }
 
 BatchRunner::BatchRunner(const VariantSpec& spec, Rng* base_rng,
                          SvtRunState* state)
@@ -129,7 +83,7 @@ Response BatchRunner::MakePositiveResponse(double answer, double nu_j) {
 // processed: n unless the cutoff exhausted the run inside the span.
 // `find_next(from, rho)` returns the first positive at or after `from`
 // under threshold offset rho — index n if none — together with the ν that
-// fired it (0.0 for the ν-free scans). The fused paths compute that ν in
+// fired it (0.0 for the ν-free scans). The megakernels compute that ν in
 // the same register pass as the compare; every path applies the exact
 // streaming positive test, including for non-finite answers.
 template <typename FindNext>
@@ -140,7 +94,7 @@ size_t BatchRunner::ScanChunk(const double* answers, size_t n,
   while (i < n) {
     // Resume under a resampled ρ: whatever find_next does about it —
     // cached-hit revalidation or a checkpoint rescan — counts here, once,
-    // so the counter is kernel-mode- and dispatch-independent.
+    // so the counter is dispatch-independent.
     if (i > 0 && state_->rho != rho0) ++state_->batch.replay_rederivations;
     const vec::FusedScanHit hit = find_next(i, state_->rho);
     state_->processed += static_cast<int64_t>(hit.index - i);
@@ -182,10 +136,6 @@ size_t BatchRunner::Run(std::span<const double> answers, double threshold,
   Response* const res = out->data() + start;
 
   const bool has_nu = spec_.nu_scale > 0.0;
-  // Cache-line-aligned so the 512-bit loads of the bound-pipeline word
-  // reduction and the fused scan kernels never split lines.
-  alignas(64) uint64_t words[2 * kChunkSize];
-  SVT_DCHECK(reinterpret_cast<uintptr_t>(words) % 64 == 0);
   // The single bound implementation: every skip decision below — tier-1
   // chunk test, tier-2 span tests, the megakernels' skip-word inputs —
   // comes out of this pipeline (core/bound_pipeline.h), at the quantized
@@ -207,11 +157,11 @@ size_t BatchRunner::Run(std::span<const double> answers, double threshold,
     size_t chunk_processed = n;
     if (has_nu) {
       pipe.BeginChunk(a, /*thresholds=*/nullptr, done, n);
-      // Word-free tier 1, shared by both kernel modes: a full chunk whose
-      // answers cannot reach the bar even under the largest |ν| any draw
-      // can produce is all ⊥ whatever its words are, so they are owed
-      // instead of generated. Calls shorter than a chunk (the auditor's
-      // tiny RunAppends) never ask, so they pay no extra Log.
+      // Word-free tier 1: a full chunk whose answers cannot reach the bar
+      // even under the largest |ν| any draw can produce is all ⊥ whatever
+      // its words are, so they are owed instead of generated. Calls
+      // shorter than a chunk (the auditor's tiny RunAppends) never ask,
+      // so they pay no extra Log.
       if (n == kChunkSize &&
           !pipe.ChunkCanFireAnyNoise(threshold + state_->rho)) {
         state_->processed += static_cast<int64_t>(n);  // res already ⊥
@@ -233,10 +183,10 @@ size_t BatchRunner::Run(std::span<const double> answers, double threshold,
             0.0};
       };
       chunk_processed = ScanChunk(a, n, find_next, res + done);
-    } else if (ActiveBatchKernelMode() == BatchKernelMode::kMegakernel) {
+    } else {
       // Lane-resident path: one generate-bound-and-scan megakernel pass
-      // replaces the chunk prefetch — the raw ν words are produced,
-      // reduced, tested, and discarded without ever touching memory. The
+      // per chunk — the raw ν words are produced, reduced, tested, and
+      // discarded without ever touching memory. The
       // fused pass steps the ν substream's four xoshiro lanes in
       // registers and returns the chunk-wide magnitude minimum (the
       // tier-1 input), the tier-2 hierarchy's per-span minima, a
@@ -244,13 +194,10 @@ size_t BatchRunner::Run(std::span<const double> answers, double threshold,
       // chunk's word threshold can discharge skipping at all — every
       // element whose positive test fires under the chunk-entry bar, in
       // index order. The substream is then restored to the chunk-end
-      // position, exactly where the composition's whole-chunk FillUint64
-      // leaves it, positives or not. Every bound-chain input is the same
-      // word the composition reads (unsigned min is association-free)
-      // and the recorded hits are the same computed tests the
-      // composition's scans apply, so skip decisions, tier counters, and
-      // emitted responses agree between the modes bit for bit —
-      // equivalence-tested in core_batch_runner_test.cc.
+      // position, exactly where a whole-chunk FillUint64 would leave it,
+      // positives or not — the streaming loop's position after the
+      // chunk's n draws. Batch == streaming and dispatch-independent
+      // counters are tested in core_batch_runner_test.cc.
       uint64_t span_min[kChunkSize / kBoundSpan];
       BlockRng::State span_states[kChunkSize / kBoundSpan];
 
@@ -335,8 +282,8 @@ size_t BatchRunner::Run(std::span<const double> answers, double threshold,
             // span decisions replay the fallback's on the pipeline's
             // cached bounds (a span holding a surviving hit always
             // passes its bound — the bound chain dominates every
-            // computed test, quantized or exact — so the counters stay
-            // mode-equal).
+            // computed test, quantized or exact — so the counters do not
+            // depend on which walk ran).
             const auto next_hit =
                 [&](size_t lo, size_t hi) -> const vec::FusedScanHit* {
               for (size_t k = 0; k < found; ++k) {
@@ -436,87 +383,6 @@ size_t BatchRunner::Run(std::span<const double> answers, double threshold,
         };
         chunk_processed = ScanChunk(a, n, find_next, res + done);
       }
-    } else {
-      // Pre-fetch the chunk's raw ν words — the substream advances exactly
-      // as if each ν_i had been drawn scalar-style. Word count and layout
-      // follow the spec's ν kind: Laplace variates are (magnitude, sign)
-      // pairs, exponential variates a single magnitude word each.
-      state_->nu_rng.FillUint64({words, wpv * n});
-
-      // Per-span magnitude-word minima up front; the pipeline reduces them
-      // to the chunk minimum (unsigned min is association-free, so this is
-      // bit-for-bit the whole-chunk reduction) and owns the whole bound
-      // chain from here: the tier-1 all-⊥ shortcut and the per-span tier-2
-      // tests, each a monotone rounded chain over these minima and the
-      // chunk's score uppers — provably conservative, so the shortcut
-      // emits exactly what the exact comparison would (proof in
-      // core/bound_pipeline.h). Shared bound inputs with the megakernel
-      // arm keep the two modes' skip decisions and counters equal bit for
-      // bit.
-      const size_t nspans = (n + kBoundSpan - 1) / kBoundSpan;
-      uint64_t span_min[kChunkSize / kBoundSpan];
-      for (size_t j = 0; j < nspans; ++j) {
-        const size_t s = j * kBoundSpan;
-        const size_t m = std::min(kBoundSpan, n - s);
-        span_min[j] = vec::MinWordBlock({words + wpv * s, wpv * m}, wpv);
-      }
-      pipe.SetNoiseMinima(span_min);
-      if (!pipe.ChunkCanFire(threshold + state_->rho)) {
-        state_->processed += static_cast<int64_t>(n);  // res already ⊥
-        ++state_->batch.tier1_chunks_skipped;
-      } else {
-        // Tier-2, single pass and hierarchical: the chunk-level bound
-        // failed, but the same conservative max-|ν| argument re-applies
-        // per kBoundSpan sub-span, where the max over far fewer draws is
-        // much smaller — in near-threshold workloads (answers a few ν
-        // scales under the bar) most sub-spans still prove all-⊥ from two
-        // integer/float reductions and skip their transform outright.
-        // Surviving sub-spans run the fused kernel, which transforms the
-        // raw word pairs and tests the positive condition in the same
-        // register pass — no ν block round-trip. After a positive the
-        // walk scans the firing sub-span's remainder exactly (it survived
-        // its bound to fire at all, and ρ may have been resampled) and
-        // then re-anchors on the sub-span grid, mirroring the megakernel
-        // arm span for span so the two modes' counters stay equal.
-        ++state_->batch.tier2_chunks_scanned;
-        const double nu_scale = spec_.nu_scale;
-        const uint64_t* const w = words;
-        BatchRunStats* const stats = &state_->batch;
-        const auto find_next = [&](size_t from,
-                                   double rho) -> vec::FusedScanHit {
-          const double bar = threshold + rho;
-          size_t s = from;
-          if (s % kBoundSpan != 0 && s < n) {
-            const size_t m = std::min(kBoundSpan - s % kBoundSpan, n - s);
-            ++stats->tier2_fused_segments;
-            const vec::FusedScanHit hit =
-                exp_nu ? vec::FusedExpScanSumGe({w + s, m}, nu_scale,
-                                                {a + s, m}, bar)
-                       : vec::FusedLaplaceScanSumGe({w + 2 * s, 2 * m}, 0.0,
-                                                    nu_scale, {a + s, m}, bar);
-            if (hit.index < m) return {s + hit.index, hit.nu};
-            s += m;
-          }
-          while (s < n) {
-            const size_t j = s / kBoundSpan;
-            const size_t m = std::min(kBoundSpan, n - s);
-            if (!pipe.SpanCanFire(j, bar)) {
-              s += m;
-              continue;
-            }
-            ++stats->tier2_fused_segments;
-            const vec::FusedScanHit hit =
-                exp_nu ? vec::FusedExpScanSumGe({w + s, m}, nu_scale,
-                                                {a + s, m}, bar)
-                       : vec::FusedLaplaceScanSumGe({w + 2 * s, 2 * m}, 0.0,
-                                                    nu_scale, {a + s, m}, bar);
-            if (hit.index < m) return {s + hit.index, hit.nu};
-            s += m;
-          }
-          return {n, 0.0};
-        };
-        chunk_processed = ScanChunk(a, n, find_next, res + done);
-      }
     }
     if (state_->exhausted) {
       // Only a chunk that generated its words can exhaust the run, and
@@ -554,13 +420,6 @@ size_t BatchRunner::Run(std::span<const double> answers,
   Response* const res = out->data() + start;
 
   const bool has_nu = spec_.nu_scale > 0.0;
-  // Per-query scratch: one sub-block of raw ν words, cache-line-aligned.
-  // There is no tier-1 chunk bound to feed (a single common bar does not
-  // exist), so nothing forces a whole-chunk prefetch — the words are
-  // pulled through the bounded fill hook in L1-sized pieces and consumed
-  // by the fused scan while still hot.
-  alignas(64) uint64_t words[2 * kFusedSubBlock];
-  SVT_DCHECK(reinterpret_cast<uintptr_t>(words) % 64 == 0);
   // The per-query bound level: per span, the pipeline holds an upper
   // bound on the answers AND a lower bound on the thresholds, and a span
   // is skipped when fl(score_up + ν_bound) < fl(bar_down + ρ) — the same
@@ -589,285 +448,177 @@ size_t BatchRunner::Run(std::span<const double> answers,
       };
       chunk_processed = ScanChunk(a, n, find_next, res + done);
     } else {
-      // Fused per-query tier-2: bounded fills (or lane-resident prepasses)
-      // pull the chunk's substream words sub-block by sub-block — the same
-      // words in the same order a scalar draw loop consumes, so a
-      // completed chunk leaves the substream at the identical position.
+      // Lane-resident per-query tier-2. The pipeline's span plan (each
+      // span's answer-max paired with its bar-min, quantized or exact)
+      // yields a per-span skip-word *vector* at the chunk-entry ρ —
+      // derivable before any words are drawn. When any span's word
+      // threshold can discharge at all, the prepass is the fused pairwise
+      // generate-bound-and-scan: one pass steps the lanes through the
+      // chunk, records the per-span magnitude minima (the pipeline's
+      // ν-bound inputs), a checkpoint at every span entry, AND every
+      // element whose pairwise positive test fires at the entry ρ —
+      // skipping the transform for every word its span's threshold
+      // discharges (counted element-granular in mega_words_skipped_q). The
+      // substream is then restored to the chunk end: the prepass consumes
+      // exactly n·wpv words — the streaming loop's n draws — whatever the
+      // walk later skips. When no span has a finite skip word (hit-dense
+      // chunk), the fused scan would transform everything for positives a
+      // cutoff may never need, so only generate-and-bound runs — mirroring
+      // the common arm's fused_scan gate.
       ++state_->batch.tier2_chunks_scanned;
       pipe.BeginChunk(a, t, done, n);
       const double nu_scale = spec_.nu_scale;
       const size_t wpv = WordsPerVariate(spec_.nu_kind);
       const bool exp_nu = spec_.nu_kind == NoiseKind::kExponential;
       BatchRunStats* const stats = &state_->batch;
-      const bool use_mega =
-          ActiveBatchKernelMode() == BatchKernelMode::kMegakernel;
-      size_t sub = 0;
-      while (sub < n) {
-        const size_t m = std::min(kFusedSubBlock, n - sub);
-        ++stats->tier2_fused_subblocks;
-        const double* const a_sub = a + sub;
-        const double* const t_sub = t + sub;
-        const size_t first_span = sub / kBoundSpan;
-        const size_t sub_nspans = (m + kBoundSpan - 1) / kBoundSpan;
-        uint64_t span_min[kFusedSubBlock / kBoundSpan];
-        size_t sub_processed;
-        if (use_mega) {
-          // Lane-resident sub-block. The pipeline's span plan (each
-          // span's answer-max paired with its bar-min, quantized or
-          // exact) yields a per-span skip-word *vector* at the sub-block
-          // entry ρ — derivable before any words are drawn. When any
-          // span's word threshold can discharge at all, the prepass is
-          // the fused pairwise generate-bound-and-scan: one pass steps
-          // the lanes through the sub-block, records the per-span
-          // magnitude minima (the pipeline's ν-bound inputs), a
-          // checkpoint at every span entry, AND every element whose
-          // pairwise positive test fires at the entry ρ — skipping the
-          // transform for every word its span's threshold discharges
-          // (counted element-granular in mega_words_skipped_q). The
-          // substream is then restored to the sub-block end: the prepass
-          // consumes exactly m·wpv words, so the stream position matches
-          // the composition's upfront fill whatever the walk later
-          // skips. When no span has a finite skip word (hit-dense
-          // sub-block), the fused scan would transform everything for
-          // positives a cutoff may never need, so only generate-and-
-          // bound runs — mirroring the common arm's fused_scan gate, and
-          // the composition's zero skipped-word count.
-          BlockRng::State span_states[kFusedSubBlock / kBoundSpan];
-          const double rho0 = state_->rho;
-          uint64_t skip_words[kFusedSubBlock / kBoundSpan];
-          bool any_skip = false;
-          for (size_t k = 0; k < sub_nspans; ++k) {
-            skip_words[k] = pipe.SpanSkipWordPerQuery(first_span + k, rho0);
-            any_skip = any_skip || skip_words[k] < vec::kMegaNeverSkipWord;
-          }
-          constexpr size_t kMaxSubHits = kFusedSubBlock / 16;
-          vec::FusedScanHit hits[kMaxSubHits];
-          size_t found = 0;
-          uint64_t skipped = 0;
-          BlockRng::State end_state = state_->nu_rng.state();
-          if (any_skip) {
-            found = exp_nu ? vec::MegaExpFillMinScanSpansPairwise(
-                                 &end_state, nu_scale, {a_sub, m}, {t_sub, m},
-                                 rho0, skip_words, kBoundSpan, span_min,
-                                 span_states, hits, kMaxSubHits, &skipped)
-                           : vec::MegaLaplaceFillMinScanSpansPairwise(
-                                 &end_state, 0.0, nu_scale, {a_sub, m},
-                                 {t_sub, m}, rho0, skip_words, kBoundSpan,
-                                 span_min, span_states, hits, kMaxSubHits,
-                                 &skipped);
-            stats->mega_words_skipped_q += static_cast<int64_t>(skipped);
-          } else {
-            vec::MegaFillMinSpans(&end_state, m, wpv, kBoundSpan, span_min,
-                                  span_states);
-          }
-          state_->nu_rng.RestoreState(end_state);
-          pipe.SetSpanNoiseMinima(span_min, first_span, sub_nspans);
-          const bool cache_complete = any_skip && found <= kMaxSubHits;
-
-          BlockRng::State cur;        // resume cursor, at element cur_pos
-          size_t cur_pos = SIZE_MAX;  // once established
-          const auto find_next = [&](size_t from,
-                                     double rho) -> vec::FusedScanHit {
-            if (cache_complete && rho >= rho0) {
-              // Cached walk, sound for every ρ >= the prepass's ρ0:
-              // fl(t_i + ρ) is monotone in ρ, so an element that failed
-              // its computed test at ρ0 fails at ρ, and a span skip word
-              // derived against fl(bar_min + ρ0) stays sound (see
-              // SpanSkipWordPerQuery); a recorded hit carries the
-              // bit-identical ν a rescan would recompute, so re-testing
-              // it against fl(t_i + ρ) IS the rescan's computed test.
-              // Span decisions replay the fallback's on the pipeline's
-              // cached bounds: a span holding a surviving hit always
-              // passes its bound (the bound chain dominates every
-              // computed test), so the counters stay mode-equal.
-              const auto next_hit =
-                  [&](size_t lo, size_t hi) -> const vec::FusedScanHit* {
-                for (size_t k = 0; k < found; ++k) {
-                  if (hits[k].index < lo) continue;
-                  if (hits[k].index >= hi) break;
-                  if (rho == rho0 ||
-                      a_sub[hits[k].index] + hits[k].nu >=
-                          t_sub[hits[k].index] + rho) {
-                    return &hits[k];
-                  }
-                }
-                return nullptr;
-              };
-              size_t s = from;
-              if (s % kBoundSpan != 0 && s < m) {
-                ++stats->tier2_fused_segments;
-                const size_t mh =
-                    std::min(kBoundSpan - s % kBoundSpan, m - s);
-                if (const vec::FusedScanHit* h = next_hit(s, s + mh)) {
-                  return *h;
-                }
-                s += mh;
-              }
-              while (s < m) {
-                const size_t j = s / kBoundSpan;
-                const size_t mm = std::min(kBoundSpan, m - s);
-                if (pipe.SpanCanFirePerQuery(first_span + j, rho)) {
-                  ++stats->tier2_fused_segments;
-                  if (const vec::FusedScanHit* h = next_hit(s, s + mm)) {
-                    return *h;
-                  }
-                }
-                s += mm;
-              }
-              return {m, 0.0};
-            }
-            // Checkpoint fallback: ρ dropped below ρ0 (elements the
-            // prepass rejected could now fire), the hit record
-            // overflowed, or no span had a finite skip word. Span skip
-            // words are re-derived from the pipeline at the *current* ρ
-            // per visit, so surviving spans still transform only the
-            // lockstep groups their thresholds cannot discharge.
-            size_t s = from;
-            if (s % kBoundSpan != 0 && s < m) {
-              // Off-grid resume after a positive: scan the firing span's
-              // remainder exactly from the cursor the hit left behind
-              // (heads are never bound-checked), then re-anchor on the
-              // prepass grid.
-              const size_t mh = std::min(kBoundSpan - s % kBoundSpan, m - s);
-              ++stats->tier2_fused_segments;
-              if (cur_pos != s) {
-                const size_t j = s / kBoundSpan;
-                cur = span_states[j];
-                const size_t p = s - j * kBoundSpan;
-                if (p > 0) {
-                  uint64_t scratch;
-                  vec::MegaFillMinSpans(&cur, p, wpv, p, &scratch, nullptr);
-                }
-                cur_pos = s;
-              }
-              BlockRng::State scan_st = cur;
-              const vec::FusedScanHit hit =
-                  exp_nu ? vec::MegaExpScanSumGePairwise(
-                               &scan_st, nu_scale, {a_sub + s, mh},
-                               {t_sub + s, mh}, rho)
-                         : vec::MegaLaplaceScanSumGePairwise(
-                               &scan_st, 0.0, nu_scale, {a_sub + s, mh},
-                               {t_sub + s, mh}, rho);
-              if (hit.index < mh) {
-                cur = scan_st;  // at element s + hit.index + 1
-                cur_pos = s + hit.index + 1;
-                return {s + hit.index, hit.nu};
-              }
-              s += mh;
-            }
-            while (s < m) {
-              const size_t j = s / kBoundSpan;
-              const size_t mm = std::min(kBoundSpan, m - s);
-              if (!pipe.SpanCanFirePerQuery(first_span + j, rho)) {
-                s += mm;
-                continue;
-              }
-              ++stats->tier2_fused_segments;
-              const uint64_t skip_word =
-                  pipe.SpanSkipWordPerQuery(first_span + j, rho);
-              BlockRng::State scan_st = span_states[j];
-              const vec::FusedScanHit hit =
-                  exp_nu ? vec::MegaExpScanSumGePairwiseBounded(
-                               &scan_st, nu_scale, {a_sub + s, mm},
-                               {t_sub + s, mm}, rho, skip_word)
-                         : vec::MegaLaplaceScanSumGePairwiseBounded(
-                               &scan_st, 0.0, nu_scale, {a_sub + s, mm},
-                               {t_sub + s, mm}, rho, skip_word);
-              if (hit.index < mm) {
-                cur = scan_st;  // at element s + hit.index + 1
-                cur_pos = s + hit.index + 1;
-                return {s + hit.index, hit.nu};
-              }
-              s += mm;
-            }
-            cur_pos = m;
-            return {m, 0.0};
-          };
-          sub_processed = ScanChunk(a_sub, m, find_next, res + done + sub);
-          // The prepass already left the substream at the sub-block end —
-          // nothing to advance, even on a cutoff exit mid-block.
-        } else {
-          size_t filled = 0;
-          while (filled < wpv * m) {
-            filled += state_->nu_rng.FillUint64Bounded(
-                {words + filled, wpv * m - filled});
-          }
-          const uint64_t* const w = words;
-          // Same per-span minima as the prepass records (same words, and
-          // unsigned min is association-free) — skip decisions and
-          // counters stay equal between the modes bit for bit.
-          for (size_t k = 0; k < sub_nspans; ++k) {
-            const size_t s = k * kBoundSpan;
-            const size_t mm = std::min(kBoundSpan, m - s);
-            span_min[k] = vec::MinWordBlock({w + wpv * s, wpv * mm}, wpv);
-          }
-          pipe.SetSpanNoiseMinima(span_min, first_span, sub_nspans);
-          // Mirror the megakernel prepass's element-granular skipped-word
-          // count over the scratch words: the same per-span skip words at
-          // the same sub-block-entry ρ over the same magnitude words give
-          // the same count (never-skip spans contribute zero, exactly as
-          // they do inside the fused lanes), keeping the counter
-          // kernel-mode-independent without slowing this arm's scans — a
-          // vectorized compare-count per span, only where a finite skip
-          // word exists.
-          {
-            uint64_t skipped = 0;
-            for (size_t k = 0; k < sub_nspans; ++k) {
-              const uint64_t sw =
-                  pipe.SpanSkipWordPerQuery(first_span + k, state_->rho);
-              if (sw < vec::kMegaNeverSkipWord) {
-                const size_t s = k * kBoundSpan;
-                const size_t mm = std::min(kBoundSpan, m - s);
-                skipped +=
-                    vec::SkipWordCountBlock({w + wpv * s, wpv * mm}, wpv, sw);
-              }
-            }
-            stats->mega_words_skipped_q += static_cast<int64_t>(skipped);
-          }
-          const auto find_next = [&](size_t from,
-                                     double rho) -> vec::FusedScanHit {
-            size_t s = from;
-            if (s % kBoundSpan != 0 && s < m) {
-              const size_t mh = std::min(kBoundSpan - s % kBoundSpan, m - s);
-              ++stats->tier2_fused_segments;
-              const vec::FusedScanHit hit =
-                  exp_nu ? vec::FusedExpScanSumGePairwise(
-                               {w + s, mh}, nu_scale, {a_sub + s, mh},
-                               {t_sub + s, mh}, rho)
-                         : vec::FusedLaplaceScanSumGePairwise(
-                               {w + 2 * s, 2 * mh}, 0.0, nu_scale,
-                               {a_sub + s, mh}, {t_sub + s, mh}, rho);
-              if (hit.index < mh) return {s + hit.index, hit.nu};
-              s += mh;
-            }
-            while (s < m) {
-              const size_t j = s / kBoundSpan;
-              const size_t mm = std::min(kBoundSpan, m - s);
-              if (!pipe.SpanCanFirePerQuery(first_span + j, rho)) {
-                s += mm;
-                continue;
-              }
-              ++stats->tier2_fused_segments;
-              const vec::FusedScanHit hit =
-                  exp_nu ? vec::FusedExpScanSumGePairwise(
-                               {w + s, mm}, nu_scale, {a_sub + s, mm},
-                               {t_sub + s, mm}, rho)
-                         : vec::FusedLaplaceScanSumGePairwise(
-                               {w + 2 * s, 2 * mm}, 0.0, nu_scale,
-                               {a_sub + s, mm}, {t_sub + s, mm}, rho);
-              if (hit.index < mm) return {s + hit.index, hit.nu};
-              s += mm;
-            }
-            return {m, 0.0};
-          };
-          sub_processed = ScanChunk(a_sub, m, find_next, res + done + sub);
-        }
-        if (state_->exhausted) {
-          chunk_processed = sub + sub_processed;
-          break;
-        }
-        sub += m;
+      const size_t nspans = (n + kBoundSpan - 1) / kBoundSpan;
+      uint64_t span_min[kChunkSize / kBoundSpan];
+      BlockRng::State span_states[kChunkSize / kBoundSpan];
+      const double rho0 = state_->rho;
+      uint64_t skip_words[kChunkSize / kBoundSpan];
+      bool any_skip = false;
+      for (size_t k = 0; k < nspans; ++k) {
+        skip_words[k] = pipe.SpanSkipWordPerQuery(k, rho0);
+        any_skip = any_skip || skip_words[k] < vec::kMegaNeverSkipWord;
       }
+      constexpr size_t kMaxChunkHits = kChunkSize / 16;
+      vec::FusedScanHit hits[kMaxChunkHits];
+      size_t found = 0;
+      uint64_t skipped = 0;
+      BlockRng::State end_state = state_->nu_rng.state();
+      if (any_skip) {
+        found = exp_nu ? vec::MegaExpFillMinScanSpansPairwise(
+                             &end_state, nu_scale, {a, n}, {t, n}, rho0,
+                             skip_words, kBoundSpan, span_min, span_states,
+                             hits, kMaxChunkHits, &skipped)
+                       : vec::MegaLaplaceFillMinScanSpansPairwise(
+                             &end_state, 0.0, nu_scale, {a, n}, {t, n}, rho0,
+                             skip_words, kBoundSpan, span_min, span_states,
+                             hits, kMaxChunkHits, &skipped);
+        stats->mega_words_skipped_q += static_cast<int64_t>(skipped);
+      } else {
+        vec::MegaFillMinSpans(&end_state, n, wpv, kBoundSpan, span_min,
+                              span_states);
+      }
+      state_->nu_rng.RestoreState(end_state);
+      pipe.SetSpanNoiseMinima(span_min);
+      const bool cache_complete = any_skip && found <= kMaxChunkHits;
+
+      BlockRng::State cur;        // resume cursor, at element cur_pos
+      size_t cur_pos = SIZE_MAX;  // once established
+      const auto find_next = [&](size_t from,
+                                 double rho) -> vec::FusedScanHit {
+        if (cache_complete && rho >= rho0) {
+          // Cached walk, sound for every ρ >= the prepass's ρ0:
+          // fl(t_i + ρ) is monotone in ρ, so an element that failed its
+          // computed test at ρ0 fails at ρ, and a span skip word derived
+          // against fl(bar_min + ρ0) stays sound (see
+          // SpanSkipWordPerQuery); a recorded hit carries the
+          // bit-identical ν a rescan would recompute, so re-testing it
+          // against fl(t_i + ρ) IS the rescan's computed test. Span
+          // decisions replay the fallback's on the pipeline's cached
+          // bounds: a span holding a surviving hit always passes its
+          // bound (the bound chain dominates every computed test), so the
+          // counters do not depend on which walk ran.
+          const auto next_hit =
+              [&](size_t lo, size_t hi) -> const vec::FusedScanHit* {
+            for (size_t k = 0; k < found; ++k) {
+              if (hits[k].index < lo) continue;
+              if (hits[k].index >= hi) break;
+              if (rho == rho0 ||
+                  a[hits[k].index] + hits[k].nu >= t[hits[k].index] + rho) {
+                return &hits[k];
+              }
+            }
+            return nullptr;
+          };
+          size_t s = from;
+          if (s % kBoundSpan != 0 && s < n) {
+            ++stats->tier2_fused_segments;
+            const size_t mh = std::min(kBoundSpan - s % kBoundSpan, n - s);
+            if (const vec::FusedScanHit* h = next_hit(s, s + mh)) return *h;
+            s += mh;
+          }
+          while (s < n) {
+            const size_t j = s / kBoundSpan;
+            const size_t mm = std::min(kBoundSpan, n - s);
+            if (pipe.SpanCanFirePerQuery(j, rho)) {
+              ++stats->tier2_fused_segments;
+              if (const vec::FusedScanHit* h = next_hit(s, s + mm)) {
+                return *h;
+              }
+            }
+            s += mm;
+          }
+          return {n, 0.0};
+        }
+        // Checkpoint fallback: ρ dropped below ρ0 (elements the prepass
+        // rejected could now fire), the hit record overflowed, or no span
+        // had a finite skip word. Span skip words are re-derived from the
+        // pipeline at the *current* ρ per visit, so surviving spans still
+        // transform only the lockstep groups their thresholds cannot
+        // discharge.
+        size_t s = from;
+        if (s % kBoundSpan != 0 && s < n) {
+          // Off-grid resume after a positive: scan the firing span's
+          // remainder exactly from the cursor the hit left behind (heads
+          // are never bound-checked), then re-anchor on the prepass grid.
+          const size_t mh = std::min(kBoundSpan - s % kBoundSpan, n - s);
+          ++stats->tier2_fused_segments;
+          if (cur_pos != s) {
+            const size_t j = s / kBoundSpan;
+            cur = span_states[j];
+            const size_t p = s - j * kBoundSpan;
+            if (p > 0) {
+              uint64_t scratch;
+              vec::MegaFillMinSpans(&cur, p, wpv, p, &scratch, nullptr);
+            }
+            cur_pos = s;
+          }
+          BlockRng::State scan_st = cur;
+          const vec::FusedScanHit hit =
+              exp_nu ? vec::MegaExpScanSumGePairwise(
+                           &scan_st, nu_scale, {a + s, mh}, {t + s, mh}, rho)
+                     : vec::MegaLaplaceScanSumGePairwise(
+                           &scan_st, 0.0, nu_scale, {a + s, mh}, {t + s, mh},
+                           rho);
+          if (hit.index < mh) {
+            cur = scan_st;  // at element s + hit.index + 1
+            cur_pos = s + hit.index + 1;
+            return {s + hit.index, hit.nu};
+          }
+          s += mh;
+        }
+        while (s < n) {
+          const size_t j = s / kBoundSpan;
+          const size_t mm = std::min(kBoundSpan, n - s);
+          if (!pipe.SpanCanFirePerQuery(j, rho)) {
+            s += mm;
+            continue;
+          }
+          ++stats->tier2_fused_segments;
+          const uint64_t skip_word = pipe.SpanSkipWordPerQuery(j, rho);
+          BlockRng::State scan_st = span_states[j];
+          const vec::FusedScanHit hit =
+              exp_nu ? vec::MegaExpScanSumGePairwiseBounded(
+                           &scan_st, nu_scale, {a + s, mm}, {t + s, mm}, rho,
+                           skip_word)
+                     : vec::MegaLaplaceScanSumGePairwiseBounded(
+                           &scan_st, 0.0, nu_scale, {a + s, mm}, {t + s, mm},
+                           rho, skip_word);
+          if (hit.index < mm) {
+            cur = scan_st;  // at element s + hit.index + 1
+            cur_pos = s + hit.index + 1;
+            return {s + hit.index, hit.nu};
+          }
+          s += mm;
+        }
+        cur_pos = n;
+        return {n, 0.0};
+      };
+      // The prepass already left the substream at the chunk end — nothing
+      // to advance, even on a cutoff exit mid-chunk.
+      chunk_processed = ScanChunk(a, n, find_next, res + done);
     }
     if (state_->exhausted) {
       const size_t emitted = done + chunk_processed;

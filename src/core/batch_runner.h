@@ -3,54 +3,39 @@
 // SvtMechanism::Run's reference implementation pays, per query, a virtual
 // dispatch, a Laplace distribution construction, two scalar RNG calls and a
 // log() stuck behind them. The experiments (Figs. 2–5) and the audit layer
-// push millions of queries through that loop. BatchRunner replaces it with:
+// push millions of queries through that loop. BatchRunner replaces it with
+// a chunked walk (kChunkSize queries per chunk) over vecmath's
+// lane-resident megakernels (vec::Mega*), which step the ν substream's four
+// lockstep xoshiro lanes inside the scan loop — the raw ν words live only
+// in registers, and the generator is checkpointed and restored through
+// BlockRng::State:
 //
-//   * per chunk, one bulk fill of the raw ν words from the mechanism's
-//     dedicated ν substream;
-//   * a tier-1 chunk bound (common threshold only): an integer min over the
-//     magnitude uniforms bounds every |ν| in the chunk, and when even the
-//     largest answer provably cannot cross the noisy threshold the whole
-//     chunk is emitted as ⊥ without a single log() — the dominant case in
-//     ⊥-heavy SVT workloads, where negatives are free. Before any word is
-//     drawn, a full chunk first gets the same test at the worst-case
-//     noise (minimum word 0, |ν| <= ν_scale·53·ln2·slack, one log per
-//     run): a chunk that passes it cannot fire under any draw, so its
-//     words are not generated at all — they are owed, and each run of
-//     such chunks is settled by one Rng::Discard of the ν substream, an
-//     O(log n) jump for all but the shortest runs (counted in
-//     tier1_chunks_jumped). It discharges only
-//     chunks the word-reading test would, so output, counters and stream
-//     position are unchanged (proof in core/bound_pipeline.h);
-//   * otherwise a *fused* single-pass sample-and-scan
-//     (vec::FusedLaplaceScan*): the full Laplace inverse-CDF transform and
-//     the positive test run in the same register pass straight off the raw
-//     words — the ν block of the pre-fusion engine is never materialized,
-//     and resume segments after a positive re-enter the kernel past it, so
-//     every word pair is transformed exactly once per chunk;
-//   * per-query-threshold chunks (no sound chunk-wide tier-1 bound — there
-//     is no single bar) pull their words through Rng::FillUint64Bounded in
-//     L1-resident sub-blocks and scan them fused while still hot, with a
-//     per-span bound of their own: the BoundPipeline pairs each span's
-//     answer upper bound with its *threshold lower bound*, so spans that
-//     provably cannot fire under any of their bars skip the scan outright;
+//   * word-free tier 1 (common threshold, full chunks): a chunk whose
+//     largest answer cannot cross the noisy threshold even under the
+//     largest |ν| any draw can produce (minimum word 0, one log per run) is
+//     emitted as ⊥ before any of its words exist. Its words are owed, and
+//     each run of such chunks is settled by one Rng::Discard of the ν
+//     substream, an O(log n) jump for all but the shortest runs (counted in
+//     tier1_chunks_jumped);
+//   * otherwise one generate-and-bound pass per chunk (MegaFillMinSpans, or
+//     a fill-min-scan form that also records the chunk's positives at the
+//     chunk-entry bar whenever a skip word can discharge anything): it
+//     yields the per-span minimum magnitude words that bound every |ν| in
+//     a span, and a BlockRng::State checkpoint at every span entry;
+//   * tier 1 on those minima (common threshold): when even the largest
+//     answer provably cannot cross the noisy threshold the chunk is all ⊥
+//     without a single log() — the dominant case in ⊥-heavy SVT workloads,
+//     where negatives are free;
+//   * tier 2, per kBoundSpan span: the same conservative max-|ν| test per
+//     span; per-query chunks pair each span's answer upper bound with its
+//     *threshold lower bound*, so spans that provably cannot fire under any
+//     of their bars skip the scan outright. Surviving spans replay the
+//     recorded positives, or — after a downward ρ resample, or when the
+//     record overflowed — are regenerated from their checkpoints by the
+//     bounded scans, which skip the transform of every lockstep group the
+//     span's skip word discharges;
 //   * a slow path only at positives, handling the cutoff, Alg. 2's ρ
 //     resampling, Alg. 3's q+ν output and ε₃ numeric answers.
-//
-// On top of the fused structure sits a kernel-mode axis
-// (BatchKernelMode below). In the default kMegakernel mode the raw words
-// never touch memory at all: the tier-2 paths drive vecmath's
-// lane-resident Mega* kernels, which step the four lockstep xoshiro lanes
-// inside the scan loop and checkpoint/restore the generator state through
-// BlockRng::State. The common-threshold chunk becomes one
-// generate-and-bound pass (chunk minimum for tier 1, per-span minima plus
-// span-entry state checkpoints for tier 2) and surviving spans are
-// *regenerated* from their checkpoints instead of re-read — in ⊥-heavy
-// workloads most spans are discharged from the pass-1 minima and their
-// words exist only in registers, once. kComposition keeps the
-// FillUint64-into-scratch pipeline above; both modes emit bit-identical
-// responses, statistics, and stream positions (the megakernels are
-// stream-neutral by the vecmath equivalence contract), so the toggle is
-// purely a performance axis — and the A/B seam the paired benchmarks use.
 //
 // Every conservative skip decision above — tier-1 chunk tests, tier-2
 // span tests (common and per-query), and the megakernels' skip-word
@@ -73,7 +58,6 @@
 
 #include <cstddef>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
@@ -83,32 +67,18 @@
 
 namespace svt {
 
-/// Which tier-2 kernel family the batch engine drives. The modes emit
-/// bit-identical responses, statistics, and RNG stream positions; the
-/// toggle exists for benchmarking (paired A/B) and as a fallback seam.
-enum class BatchKernelMode {
-  /// Lane-resident generate-and-scan (vec::Mega*): raw ν words are
-  /// produced and consumed inside the kernels, never written to memory.
-  kMegakernel,
-  /// FillUint64 into an L1 scratch buffer + fused scan kernels reading it.
-  kComposition,
-};
+/// The batch engine's tier-2 kernel family: always the lane-resident
+/// megakernels (vec::Mega*). A constant, not a knob.
+enum class BatchKernelMode { kMegakernel };
 
-/// Process-wide kernel mode, initialized once from SVT_BATCH_KERNELS
-/// ("megakernel" | "composition"; unset means megakernel; an unrecognized
-/// value logs one warning and falls back to megakernel) and adjustable at
-/// runtime for A/B and equivalence tests.
+/// Always kMegakernel. Its one caller is perfbench/src/host.cc, which
+/// prints it on the benchmark's host line.
 BatchKernelMode ActiveBatchKernelMode();
-void SetBatchKernelMode(BatchKernelMode mode);
-
-/// Parses a SVT_BATCH_KERNELS value into *mode. Returns false — leaving
-/// *mode untouched — on anything other than the two recognized spellings.
-bool ParseBatchKernelMode(std::string_view value, BatchKernelMode* mode);
 
 class BatchRunner {
  public:
-  /// Queries per chunk: 32 KiB of raw ν words, prefetched whole so the
-  /// tier-1 bound can reduce over them before any transform runs.
+  /// Queries per chunk: the unit of one generate-and-bound pass, so the
+  /// tier-1 bound can reduce over all its words before any transform runs.
   static constexpr size_t kChunkSize = 2048;
 
   /// Queries per hierarchical tier-2 bound span (common threshold): when
@@ -116,15 +86,6 @@ class BatchRunner {
   /// re-applied per span this size — over few enough draws that
   /// near-threshold workloads still skip most spans' transforms.
   static constexpr size_t kBoundSpan = 128;
-
-  /// Queries per fused per-query sub-block (raw words per bounded fill).
-  /// Tuned to one whole chunk on the reference container: sweeping
-  /// 256/512/1024/2048 with an in-process A/B showed the smaller fills
-  /// 10-25% slower (per-call lockstep state round-trips plus restarted
-  /// scan streams outweigh the L1 footprint win there). The sub-block
-  /// structure stays because the knob is host-dependent — a machine with
-  /// a smaller L1d or slower L2 wants it below the chunk size.
-  static constexpr size_t kFusedSubBlock = kChunkSize;
 
   /// Runs over the state of a live mechanism; all three must outlive the
   /// runner. `state` is mutated exactly as the streaming path would.

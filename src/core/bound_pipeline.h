@@ -1,9 +1,8 @@
 // BoundPipeline: the ONE conservative "can this chunk/span possibly
-// fire?" bound implementation behind the batch engine. Every execution
-// path — common-threshold and per-query-threshold, megakernel and
-// composition — routes its skip decisions through this class; the paths
-// differ only in how they *scan* spans the pipeline could not discharge
-// (core/batch_runner.cc). Before this refactor the bound chain existed in
+// fire?" bound implementation behind the batch engine. Both execution
+// paths — common-threshold and per-query-threshold — route their skip
+// decisions through this class; they differ only in how they *scan* spans
+// the pipeline could not discharge (core/batch_runner.cc). Before this refactor the bound chain existed in
 // four divergent copies (the tier-1 log-free chunk bound, the per-128-span
 // hierarchical bound, the megakernel generate-and-bound pass, and the
 // per-query path that had none).
@@ -18,8 +17,8 @@
 //   level 1 (full precision): vec::MaxBlock / vec::MinBlock over the
 //     doubles themselves — used when no prefilter is attached or
 //     SVT_BOUND_PREFILTER=off;
-//   final level (exact, in batch_runner): the fused sample-and-scan of
-//     surviving spans, which computes the exact streaming positive test —
+//   final level (exact, in batch_runner): the megakernel sample-and-scan
+//     of surviving spans, which computes the exact streaming positive test —
 //     the "rerank at full precision" of the two-level pattern.
 //
 // When a prefilter is attached, the quantized level alone decides the
@@ -51,15 +50,14 @@
 //       fl(a_i + nu_i) <= fl(up + NB) < fl(dn + rho) <= fl(t_i + rho)
 //   so no element of a pruned span can fire its computed test — at any
 //   dispatch level (each fl(·) and the Log kernel are bit-identical
-//   across levels) and in either kernel mode (unsigned word minima are
-//   association-free, so both modes feed identical w_min). Elements with
+//   across levels). Elements with
 //   NaN answers or NaN thresholds compare false in the exact test and
 //   are excluded from up/dn by the prefilter's build rule (full-precision
 //   reductions are only used on NaN-free inputs — ScoreVector checks).
 //   Hence pruning is sound, outputs are bit-identical to the bound-free
 //   scan, and — since the quantized level's decisions are themselves
-//   deterministic functions of the codes — tier counters are dispatch-
-//   and mode-independent. This argument sits alongside the megakernel
+//   deterministic functions of the codes — tier counters are
+//   dispatch-independent. This argument sits alongside the megakernel
 //   skip-word soundness argument (vec::MegaSkipWordThreshold), which
 //   consumes this class's score uppers: any up >= max a_i satisfies its
 //   contract, so a quantized upper is as sound a skip-word input as the
@@ -115,18 +113,15 @@ class BoundPipeline {
   size_t num_spans() const { return nspans_; }
 
   /// Installs the chunk's per-span minimum magnitude words (from
-  /// vec::MegaFillMinSpans or vec::MinWordBlock — bit-identical by the
-  /// stream contract) and derives the padded chunk noise bound; per-span
+  /// vec::MegaFillMinSpans or a fused fill-min-scan pass) and derives the padded chunk noise bound; per-span
   /// bounds are derived lazily on first span query so a chunk the tier-1
   /// test discharges pays exactly one log. Call after BeginChunk, before
   /// any *CanFire.
   void SetNoiseMinima(const std::uint64_t* span_min);
 
-  /// Per-query form: installs minima (and eager ν bounds) for the `count`
-  /// spans starting at chunk span index `first_span` — the per-query walk
-  /// processes sub-blocks, and there is no chunk-level test to feed.
-  void SetSpanNoiseMinima(const std::uint64_t* span_min, size_t first_span,
-                          size_t count);
+  /// Per-query form: installs the chunk's per-span minima with eager ν
+  /// bounds — there is no chunk-level test to feed.
+  void SetSpanNoiseMinima(const std::uint64_t* span_min);
 
   /// Score upper bounds for skip-word derivation
   /// (vec::MegaSkipWordThreshold needs any value >= the range's max).
@@ -137,9 +132,9 @@ class BoundPipeline {
   /// bound_bytes_touched (heads are positive-frequency rare).
   double SubrangeScoreUpper(size_t s, size_t m) const;
 
-  /// Megakernel skip words, derived inside the pipeline so both kernel
-  /// modes (and the quantized level, when attached) feed identical
-  /// answer-max / bar pairs into vec::MegaSkipWordThreshold. Valid after
+  /// Megakernel skip words, derived inside the pipeline so every scan
+  /// (and the quantized level, when attached) feeds the same answer-max /
+  /// bar pairs into vec::MegaSkipWordThreshold. Valid after
   /// BeginChunk; they need no noise minima.
   std::uint64_t ChunkSkipWord(double bar) const;
   std::uint64_t SpanSkipWord(size_t j, double bar) const;
@@ -147,7 +142,7 @@ class BoundPipeline {
   /// lower bound on every computed fl(t_i + ρ) in the span (monotone
   /// rounded add), so a word the threshold discharges at this bar cannot
   /// fire any per-query test in the span — and, since fl(dn + ρ) is
-  /// non-decreasing in ρ, a skip word derived at the sub-block-entry ρ
+  /// non-decreasing in ρ, a skip word derived at the chunk-entry ρ
   /// stays sound for every later resampled ρ' >= ρ.
   std::uint64_t SpanSkipWordPerQuery(size_t j, double rho) const;
 

@@ -121,48 +121,41 @@ struct BatchRunStats {
   /// them. Full common-threshold chunks only; never exceeds
   /// tier1_chunks_skipped.
   int64_t tier1_chunks_jumped = 0;
-  /// Chunks that ran the tier-2 fused sample-and-scan over their raw ν
+  /// Chunks that ran the tier-2 megakernel sample-and-scan over their ν
   /// words (includes every per-query-threshold chunk with query noise).
   int64_t tier2_chunks_scanned = 0;
-  /// Fused single-pass scan segments executed: one FusedLaplaceScan* call
-  /// per tier-2 scan span — at least one per surviving bound span (or
-  /// per-query sub-block), plus extra entries from resumes after
-  /// positives. Dispatch-level independent, like every counter here.
+  /// Tier-2 span visits that scanned (or replayed recorded hits of) a
+  /// span: at least one per surviving bound span, plus extra entries
+  /// from resumes after positives. Dispatch-level independent, like
+  /// every counter here.
   int64_t tier2_fused_segments = 0;
   /// Hierarchical-bound skips inside common-threshold tier-2 chunks:
   /// kBoundSpan-sized spans proven all-⊥ by the per-span max-|ν| bound
   /// after the whole-chunk bound failed — their transforms never ran.
   int64_t tier2_spans_skipped = 0;
-  /// Bounded ν-substream sub-block fills in the per-query fused path
-  /// (Rng::FillUint64Bounded loops). The common-threshold path prefetches
-  /// whole chunks for the tier-1 bound and counts none.
-  int64_t tier2_fused_subblocks = 0;
   /// Span visits pruned by the QUANTIZED bound level (a subset of
   /// tier2_spans_skipped): only nonzero when a BoundPrefilter was attached
-  /// and SVT_BOUND_PREFILTER is on. Dispatch- and kernel-mode-independent,
-  /// like every counter here.
+  /// and SVT_BOUND_PREFILTER is on. Dispatch-independent, like every
+  /// counter here.
   int64_t bound_spans_pruned_q = 0;
   /// Bytes the bound pass's score/threshold-side span reductions read per
   /// chunk: 8 per element and side at full precision, the prefilter's 1-2
   /// per element and side when quantized — the two-level prefilter's whole
   /// point. Counted once per chunk entering a bound-carrying path
-  /// (deterministic in the workload shape: dispatch- and mode-independent;
+  /// (deterministic in the workload shape: dispatch-independent;
   /// resume-head re-reductions after positives are not counted).
   int64_t bound_bytes_touched = 0;
-  /// Elements of per-query sub-blocks whose magnitude word's top 53 bits
+  /// Elements of per-query chunks whose magnitude word's top 53 bits
   /// reached their span's conservative skip word (the span's answer-max
-  /// paired with its bar-min at the sub-block-entry ρ): their transform
-  /// is provably discharged. Element-granular — a pure function of the
-  /// words and the skip-word vector — so dispatch- and kernel-mode-
-  /// independent (the composition arm counts the same words with
-  /// vec::SkipWordCountBlock over its scratch buffer).
+  /// paired with its bar-min at the chunk-entry ρ): their transform is
+  /// provably discharged. Element-granular — a pure function of the
+  /// words and the skip-word vector — so dispatch-independent.
   int64_t mega_words_skipped_q = 0;
-  /// Resume scans entered under a ρ that differs from the ρ the chunk
-  /// (or per-query sub-block) was entered with — the resamples the
-  /// megakernel's cached-hit replay re-validates its recorded positives
-  /// (and re-derives span skip words) against instead of falling back to
-  /// the checkpoint walk. Counted centrally at the resume site, so
-  /// dispatch- and kernel-mode-independent.
+  /// Resume scans entered under a ρ that differs from the ρ the chunk was
+  /// entered with — the resamples the megakernel's cached-hit replay
+  /// re-validates its recorded positives (and re-derives span skip words)
+  /// against instead of falling back to the checkpoint walk. Counted
+  /// centrally at the resume site, so dispatch-independent.
   int64_t replay_rederivations = 0;
 };
 
@@ -216,29 +209,24 @@ struct SvtRunState {
 ///      a draw's position. Changing the lane count or layout changes
 ///      every stream — a golden re-record, like (4).
 ///
-/// Kernel fusion is draw-order-neutral: the batch engine's single-pass
-/// FusedLaplaceScan* kernels (common/vecmath.h) consume the identical raw
-/// word pairs through the identical word→ν lattice of steps (4) and (5) —
-/// they merely skip materializing the ν block between transform and
-/// compare. Steps 1–5 are unchanged and no golden re-record accompanied
-/// fusion; the fused/unfused cross-checks in tests/common_vecmath_test.cc
-/// and the batch/streaming suites enforce this bitwise.
-///
-/// In-kernel generation is stream-neutral: the batch engine's megakernels
-/// (vec::Mega* — generate, generate-and-bound, generate-bound-and-scan)
-/// step the SAME four lockstep xoshiro256++ lanes of step (5) in
-/// registers instead of materializing FillUint64 blocks, and push each
-/// word through the identical word→variate lattice of step (4). A chunk
-/// consumes exactly n · words-per-variate words whether it scans, skips,
-/// or records hits, so the stream position after any chunk is the same as
-/// the composition's — checkpoint/restore of BlockRng::State moves the
-/// cursor, never the stream. A chunk the word-free tier-1 test discharges
-/// consumes its words too, without generating them: Rng::Discard jumps the
-/// substream to exactly where drawing them would have left it.
-/// SVT_BATCH_KERNELS=composition forces the FillUint64 + fused-scan
-/// composition path; both modes emit identical
-/// Responses (tests/core_batch_runner_test.cc diffs them per dispatch
-/// level) and no golden re-record accompanied the megakernels.
+/// Fusion and in-kernel generation are draw-order-neutral: the batch
+/// engine's megakernels (vec::Mega* in common/vecmath.h — generate-and-
+/// bound, generate-bound-and-scan, bounded scans) step the SAME four
+/// lockstep xoshiro256++ lanes of step (5) in registers instead of
+/// materializing FillUint64 blocks, and push each word through the
+/// identical word→variate lattice of step (4) straight into the positive
+/// test, never materializing the ν block. A chunk consumes exactly
+/// n · words-per-variate words whether it scans, skips, or records hits,
+/// so the stream position after any chunk is the one n streaming draws
+/// leave — checkpoint/restore of BlockRng::State moves the cursor, never
+/// the stream. A chunk the word-free tier-1 test discharges consumes its
+/// words too, without generating them: Rng::Discard jumps the substream
+/// to exactly where drawing them would have left it. Steps 1–5 are
+/// unchanged and no golden re-record accompanied the megakernels;
+/// tests/common_vecmath_test.cc checks each kernel against its
+/// FillUint64 + TransformBlock + scalar-compare definition, and
+/// tests/core_batch_runner_test.cc diffs Run() against the Process() loop
+/// at every dispatch level.
 ///
 /// Quantized bound representations are BOUND-ONLY: the BoundPipeline's
 /// quantized prefilter level (core/bound_pipeline.h,
@@ -250,11 +238,11 @@ struct SvtRunState {
 /// was pruned by the quantized level, the full-precision level, or not
 /// at all, so steps 1-5 are untouched and the emitted Response sequence
 /// is bit-identical with the prefilter attached, absent, or disabled
-/// (SVT_BOUND_PREFILTER=off — a CI equivalence leg, like the
-/// composition one above). Tier counters may legitimately differ between
-/// prefilter-on and prefilter-off runs (the quantized bound is weaker,
-/// so it prunes a subset of what full precision would); they remain
-/// dispatch- and kernel-mode-independent within either setting.
+/// (SVT_BOUND_PREFILTER=off — a CI equivalence leg). Tier counters may
+/// legitimately differ between prefilter-on and prefilter-off runs (the
+/// quantized bound is weaker, so it prunes a subset of what full
+/// precision would); they remain dispatch-independent within either
+/// setting.
 ///
 /// Hence the k-th emitted Response is the same whether queries arrive one
 /// at a time through Process() or in bulk through Run() — and, by (4) and

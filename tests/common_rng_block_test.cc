@@ -11,6 +11,7 @@
 // polynomial arithmetic reproduces xoshiro's published jump constants.
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -350,66 +351,6 @@ TEST(SampleBlockTest, BlockStatisticsAreLaplace) {
   EXPECT_NEAR(abs_sum / block.size(), 2.0, 0.05);
 }
 
-TEST(FillBoundedTest, PrefixIsTheNextOutputsOfTheStream) {
-  // FillBounded writes some prefix of the stream — whatever the length it
-  // picks, the words must be exactly the next Next() outputs.
-  Rng ref(1234), rng(1234);
-  std::vector<uint64_t> buf(4096);
-  size_t total = 0;
-  while (total < 3000) {
-    const size_t got =
-        rng.FillUint64Bounded({buf.data(), 1 + total % 613});
-    ASSERT_GT(got, 0u) << "bounded fill must always progress";
-    for (size_t i = 0; i < got; ++i) {
-      ASSERT_EQ(buf[i], ref.NextUint64()) << "word " << total + i;
-    }
-    total += got;
-  }
-}
-
-TEST(FillBoundedTest, StopsLaneAlignedAndCatchesUpPhase) {
-  // From a lane-aligned position, a fill of 4k+r words stops after the 4k
-  // whole lockstep steps (r in 1..3 left unwritten); after scalar draws
-  // advanced the phase, the catch-up words count toward the prefix.
-  BlockRng rng(42);
-  std::vector<uint64_t> buf(64);
-  EXPECT_EQ(rng.FillBounded({buf.data(), 11}), 8u);   // phase 0: 2 steps
-  // The stream is now at a lane-aligned position again.
-  EXPECT_EQ(rng.state().phase, 0u);
-  rng.Next();  // phase 1: catch-up is 3 words
-  EXPECT_EQ(rng.state().phase, 1u);
-  EXPECT_EQ(rng.FillBounded({buf.data(), 12}), 11u);  // 3 catch-up + 2 steps
-  EXPECT_EQ(rng.state().phase, 0u);
-  // A span smaller than one step at an aligned position fills whole —
-  // scalar — so callers looping toward a fixed word count terminate.
-  EXPECT_EQ(rng.FillBounded({buf.data(), 3}), 3u);
-  EXPECT_EQ(rng.state().phase, 3u);
-  // Empty span: no-op.
-  EXPECT_EQ(rng.FillBounded({}), 0u);
-  EXPECT_EQ(rng.state().phase, 3u);
-}
-
-TEST(FillBoundedTest, LoopingToATargetEqualsOneFill) {
-  // The batch engine's usage pattern: loop FillBounded until 2m words are
-  // consumed. End state and content must equal a single FillUint64.
-  for (const size_t target : {size_t{1}, size_t{2}, size_t{7}, size_t{1024},
-                              size_t{1226}, size_t{4096}}) {
-    Rng a(99), b(99);
-    a.NextUint64();  // start both mid-step (phase 1)
-    b.NextUint64();
-    std::vector<uint64_t> one(target), looped(target);
-    a.FillUint64(one);
-    size_t filled = 0;
-    while (filled < target) {
-      filled += b.FillUint64Bounded({looped.data() + filled, target - filled});
-    }
-    EXPECT_EQ(one, looped) << "target=" << target;
-    const Rng::State sa = a.state(), sb = b.state();
-    EXPECT_EQ(sa.words, sb.words) << "target=" << target;
-    EXPECT_EQ(sa.phase, sb.phase) << "target=" << target;
-  }
-}
-
 TEST(RestoreTest, RoundTripsTheStreamAtEveryPhase) {
   // Restore is the return half of the megakernel checkpoint seam: a
   // snapshot taken at any phase, restored after arbitrary further draws,
@@ -438,24 +379,44 @@ TEST(MegakernelStreamTest, MegaScanLeavesRngAtTheFillPosition) {
   // let the in-register kernel consume k words, RestoreState the kernel's
   // final State — the Rng must sit exactly where FillUint64 of k words
   // would have left it, so subsequent draws (ρ resamples, the next chunk)
-  // continue the one stream. Walk a multi-hit scan and compare against a
-  // FillUint64-driven twin after every resume.
+  // continue the one stream. Walk a multi-hit scan (the bounded kernel at
+  // the never-skip word, so every element is transformed) and compare
+  // after every resume against a FillUint64-driven twin: the hit against
+  // the kernel's definition over the twin's words (LaplaceTransformBlock,
+  // then the positive test as a scalar loop), and the stream positions.
   ScopedDispatchLevel restore;
   const size_t n = 517;
+  const double bar = 0.5;
   std::vector<double> a(n, 0.0);
   for (vec::DispatchLevel level : vec::kAllDispatchLevels) {
     if (!vec::SetDispatchLevel(level)) continue;
     Rng mega(2024), twin(2024);
     std::vector<uint64_t> scratch;
+    std::vector<double> nu;
     size_t from = 0;
     while (from <= n) {
-      BlockRng::State st = mega.state();
-      const vec::FusedScanHit hit =
-          vec::MegaLaplaceScanSumGe(&st, 0.0, 1.0, {a.data() + from, n - from},
-                                    0.5);
-      mega.RestoreState(st);
       const size_t rem = n - from;
-      const size_t consumed = 2 * (hit.index < rem ? hit.index + 1 : rem);
+      // Definition: the next 2·rem twin words, transformed, then scanned.
+      Rng def_rng = twin;
+      scratch.resize(2 * rem);
+      def_rng.FillUint64(scratch);
+      nu.resize(rem);
+      vec::LaplaceTransformBlock(scratch, 0.0, 1.0, nu);
+      size_t want = 0;
+      while (want < rem && !(a[from + want] + nu[want] >= bar)) ++want;
+
+      BlockRng::State st = mega.state();
+      const vec::FusedScanHit hit = vec::MegaLaplaceScanSumGeBounded(
+          &st, 0.0, 1.0, {a.data() + from, rem}, bar, vec::kMegaNeverSkipWord);
+      mega.RestoreState(st);
+      ASSERT_EQ(hit.index, want)
+          << vec::DispatchLevelName(level) << " from=" << from;
+      if (want < rem) {
+        ASSERT_EQ(std::bit_cast<uint64_t>(hit.nu),
+                  std::bit_cast<uint64_t>(nu[want]))
+            << vec::DispatchLevelName(level) << " from=" << from;
+      }
+      const size_t consumed = 2 * (want < rem ? want + 1 : rem);
       scratch.resize(consumed);
       twin.FillUint64(scratch);
       const Rng::State sm = mega.state(), st2 = twin.state();
@@ -466,8 +427,8 @@ TEST(MegakernelStreamTest, MegaScanLeavesRngAtTheFillPosition) {
       // Interleave a scalar draw on both streams, as the engine does for
       // a positive's resample, then keep scanning.
       ASSERT_EQ(mega.NextUint64(), twin.NextUint64());
-      if (hit.index >= rem) break;
-      from += hit.index + 1;
+      if (want >= rem) break;
+      from += want + 1;
     }
   }
 }

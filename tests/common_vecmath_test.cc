@@ -235,36 +235,6 @@ TEST(VecmathDispatchTest, LogBlockBitIdenticalAcrossLevels) {
   }
 }
 
-TEST(VecmathDispatchTest, ExpBlockBitIdenticalAcrossLevels) {
-  ScopedDispatchLevel restore;
-  std::vector<double> xs;
-  for (double x = -745.0; x < 710.0; x += 0.01037) xs.push_back(x);
-  xs.push_back(0.0);
-  xs.push_back(1e9);                  // overflow lane
-  xs.push_back(-1e9);                 // underflow lane
-  xs.push_back(std::nan(""));         // NaN lane
-  xs.push_back(705.0);                // near the fast-path domain edge
-  xs.push_back(-705.0);
-  std::vector<double> scalar_ref(xs.size());
-  for (size_t i = 0; i < xs.size(); ++i) scalar_ref[i] = Exp(xs[i]);
-
-  for (DispatchLevel level : kAllDispatchLevels) {
-    if (!SetDispatchLevel(level)) continue;
-    std::vector<double> out(xs.size());
-    ExpBlock(xs, out);
-    ASSERT_EQ(out.size(), scalar_ref.size());
-    for (size_t i = 0; i < out.size(); ++i) {
-      if (std::isnan(scalar_ref[i])) {
-        ASSERT_TRUE(std::isnan(out[i])) << "i=" << i;
-        continue;
-      }
-      ASSERT_EQ(std::bit_cast<uint64_t>(out[i]),
-                std::bit_cast<uint64_t>(scalar_ref[i]))
-          << DispatchLevelName(level) << " diverges at i=" << i;
-    }
-  }
-}
-
 TEST(VecmathDispatchTest, SamplingKernelsBitIdenticalAcrossLevels) {
   ScopedDispatchLevel restore;
   // Raw RNG words, including the lattice edges (all-ones word -> u == 1,
@@ -282,8 +252,6 @@ TEST(VecmathDispatchTest, SamplingKernelsBitIdenticalAcrossLevels) {
   NegLogUnitPositiveBlock(words, 1, ref1);
   NegLogUnitPositiveBlock(words, 2, ref2);
   LaplaceTransformBlock(words, 0.25, 1.75, ref_lap);
-  const uint64_t ref_min1 = MinWordBlock(words, 1);
-  const uint64_t ref_min2 = MinWordBlock(words, 2);
 
   for (DispatchLevel level :
        {DispatchLevel::kAvx2, DispatchLevel::kAvx512}) {
@@ -295,10 +263,6 @@ TEST(VecmathDispatchTest, SamplingKernelsBitIdenticalAcrossLevels) {
     ExpectBitEqual(out1, ref1, "neg-log stride 1");
     ExpectBitEqual(out2, ref2, "neg-log stride 2");
     ExpectBitEqual(out_lap, ref_lap, "laplace transform");
-    EXPECT_EQ(MinWordBlock(words, 1), ref_min1)
-        << DispatchLevelName(level);
-    EXPECT_EQ(MinWordBlock(words, 2), ref_min2)
-        << DispatchLevelName(level);
   }
 
   // The stride-1 kernel on even words must equal the stride-2 kernel.
@@ -312,14 +276,11 @@ TEST(VecmathDispatchTest, SamplingKernelsBitIdenticalAcrossLevels) {
 TEST(VecmathDispatchTest, ReductionsAndScansAcrossLevels) {
   ScopedDispatchLevel restore;
   Rng rng(7);
-  std::vector<double> a(1000), b(1000);
+  std::vector<double> a(1000);
   rng.FillDouble(a);
-  rng.FillDouble(b);
-  a[777] = 3.0;  // guaranteed hit: 3.0 + b >= 3.0
 
   SetDispatchLevel(DispatchLevel::kScalar);
   const double ref_max = MaxBlock(a);
-  const size_t ref_sum_idx = FindFirstSumGe(a, b, 3.0);
   const size_t ref_idx = FindFirstGe(a, 2.5);
   const size_t ref_none = FindFirstGe(a, 1e9);
 
@@ -329,12 +290,10 @@ TEST(VecmathDispatchTest, ReductionsAndScansAcrossLevels) {
     EXPECT_EQ(std::bit_cast<uint64_t>(MaxBlock(a)),
               std::bit_cast<uint64_t>(ref_max))
         << DispatchLevelName(level);
-    EXPECT_EQ(FindFirstSumGe(a, b, 3.0), ref_sum_idx);
     EXPECT_EQ(FindFirstGe(a, 2.5), ref_idx);
     EXPECT_EQ(FindFirstGe(a, 1e9), ref_none);
   }
   EXPECT_EQ(ref_none, a.size());
-  EXPECT_LE(ref_sum_idx, 777u);
 
   // Odd (non-multiple-of-the-SIMD-width) sizes exercise the scalar tails.
   for (size_t len : {1u, 3u, 5u, 7u, 9u, 11u, 15u}) {
@@ -456,9 +415,8 @@ TEST(VecmathDispatchTest, PairwiseScansAcrossLevels) {
   ScopedDispatchLevel restore;
   Rng rng(99);
   const size_t n = 1003;  // odd: exercises every lane tail
-  std::vector<double> a(n), b(n), bars(n);
+  std::vector<double> a(n), bars(n);
   rng.FillDouble(a);
-  rng.FillDouble(b);
   rng.FillDouble(bars);
   const double rho = 0.125;
   // Exact ties: the >= must fire on equality, at any lane position.
@@ -472,11 +430,6 @@ TEST(VecmathDispatchTest, PairwiseScansAcrossLevels) {
   const auto ref_ge = [&](size_t from) {
     size_t j = from;
     while (j < n && !(a[j] >= bars[j] + rho)) ++j;
-    return j;
-  };
-  const auto ref_sum_ge = [&](size_t from) {
-    size_t j = from;
-    while (j < n && !(a[j] + b[j] >= bars[j] + rho)) ++j;
     return j;
   };
 
@@ -494,218 +447,10 @@ TEST(VecmathDispatchTest, PairwiseScansAcrossLevels) {
       if (expect >= n) break;
       from = expect + 1;
     }
-    from = 0;
-    while (from <= n) {
-      const size_t expect = ref_sum_ge(from);
-      const size_t got = from + FindFirstSumGePairwise(
-                                    {a.data() + from, n - from},
-                                    {b.data() + from, n - from},
-                                    {bars.data() + from, n - from}, rho);
-      ASSERT_EQ(got, expect)
-          << DispatchLevelName(level) << " from=" << from;
-      if (expect >= n) break;
-      from = expect + 1;
-    }
     // No-match scan returns size().
     EXPECT_EQ(FindFirstGePairwise(a, bars, 1e9), n);
-    EXPECT_EQ(FindFirstSumGePairwise(a, b, bars, 1e9), n);
     // Empty input.
     EXPECT_EQ(FindFirstGePairwise({}, {}, rho), 0u);
-  }
-}
-
-TEST(VecmathFusedScanTest, MatchesUnfusedCompositionAtEveryLevel) {
-  // The fused sample-and-scan kernels are *defined* as the composition of
-  // the unfused pipeline: TransformBlock to materialize ν, then the
-  // FindFirst* compare-scan. At every dispatch level, walking every hit
-  // must reproduce the oracle's indices exactly and return the oracle's ν
-  // bit for bit — this is the contract that lets the batch engine go
-  // single-pass with no golden re-record.
-  ScopedDispatchLevel restore;
-  Rng rng(321);
-  const size_t n = 1003;  // odd: exercises every lane tail
-  std::vector<uint64_t> words(2 * n);
-  rng.FillUint64(words);
-  words[0] = ~0ull;        // u == 1 lattice edge: ν == ±0
-  words[2 * 500] = 0;      // largest magnitude draw
-  const double mu = 0.25, b = 1.75;
-  std::vector<double> a(n), bars(n);
-  rng.FillDouble(a);
-  rng.FillDouble(bars);
-  for (size_t i = 0; i < n; ++i) {
-    a[i] = (a[i] - 0.5) * 8.0;     // straddle the ν scale
-    bars[i] = (bars[i] - 0.5) * 4.0;
-  }
-  const double rho = 0.125;
-
-  const Laplace dist(mu, b);
-  std::vector<double> nu(n);
-
-  for (DispatchLevel level : kAllDispatchLevels) {
-    if (!SetDispatchLevel(level)) continue;
-    const std::string ctx = DispatchLevelName(level);
-    dist.TransformBlock(words, nu);  // the oracle's ν block, same level
-
-    // Walk all hits of all four kernels against the composed oracle.
-    const auto walk = [&](auto fused, auto oracle) {
-      size_t from = 0;
-      while (from <= n) {
-        const std::span<const uint64_t> w{words.data() + 2 * from,
-                                          2 * (n - from)};
-        const FusedScanHit hit = fused(w, from);
-        const size_t expect = oracle(from);
-        ASSERT_EQ(from + hit.index, expect) << ctx << " from=" << from;
-        if (expect >= n) {
-          ASSERT_EQ(hit.index, n - from);
-          ASSERT_EQ(hit.nu, 0.0) << ctx << " no-hit nu must be 0";
-          break;
-        }
-        ASSERT_EQ(std::bit_cast<uint64_t>(hit.nu),
-                  std::bit_cast<uint64_t>(nu[expect]))
-            << ctx << " nu diverges at " << expect;
-        from = expect + 1;
-      }
-    };
-
-    const double bar = mu + b;  // plenty of hits, plenty of gaps
-    walk(
-        [&](std::span<const uint64_t> w, size_t) {
-          return FusedLaplaceScanGe(w, mu, b, bar);
-        },
-        [&](size_t from) {
-          size_t j = from;
-          while (j < n && !(nu[j] >= bar)) ++j;
-          return j;
-        });
-    walk(
-        [&](std::span<const uint64_t> w, size_t from) {
-          return FusedLaplaceScanSumGe(w, mu, b, {a.data() + from, n - from},
-                                       bar);
-        },
-        [&](size_t from) {
-          return from + FindFirstSumGe({a.data() + from, n - from},
-                                       {nu.data() + from, n - from}, bar);
-        });
-    walk(
-        [&](std::span<const uint64_t> w, size_t from) {
-          return FusedLaplaceScanGePairwise(
-              w, mu, b, {bars.data() + from, n - from}, rho);
-        },
-        [&](size_t from) {
-          size_t j = from;
-          while (j < n && !(nu[j] >= bars[j] + rho)) ++j;
-          return j;
-        });
-    walk(
-        [&](std::span<const uint64_t> w, size_t from) {
-          return FusedLaplaceScanSumGePairwise(
-              w, mu, b, {a.data() + from, n - from},
-              {bars.data() + from, n - from}, rho);
-        },
-        [&](size_t from) {
-          return from + FindFirstSumGePairwise({a.data() + from, n - from},
-                                               {nu.data() + from, n - from},
-                                               {bars.data() + from, n - from},
-                                               rho);
-        });
-  }
-}
-
-TEST(VecmathFusedScanTest, BitIdenticalAcrossDispatchLevels) {
-  // Fused results (index AND ν payload) must not depend on the lane, for
-  // hit positions at every lane offset.
-  ScopedDispatchLevel restore;
-  Rng rng(99);
-  const size_t n = 531;
-  std::vector<uint64_t> words(2 * n);
-  rng.FillUint64(words);
-  std::vector<double> a(n), bars(n);
-  rng.FillDouble(a);
-  rng.FillDouble(bars);
-
-  ASSERT_TRUE(SetDispatchLevel(DispatchLevel::kScalar));
-  std::vector<FusedScanHit> ref;
-  for (size_t from = 0; from <= n;) {
-    const FusedScanHit hit = FusedLaplaceScanSumGePairwise(
-        {words.data() + 2 * from, 2 * (n - from)}, 0.0, 2.0,
-        {a.data() + from, n - from}, {bars.data() + from, n - from}, 0.5);
-    ref.push_back(hit);
-    if (from + hit.index >= n) break;
-    from += hit.index + 1;
-  }
-  ASSERT_GT(ref.size(), 2u) << "workload must contain several hits";
-
-  for (DispatchLevel level :
-       {DispatchLevel::kAvx2, DispatchLevel::kAvx512}) {
-    if (!SetDispatchLevel(level)) continue;
-    size_t k = 0;
-    for (size_t from = 0; from <= n;) {
-      const FusedScanHit hit = FusedLaplaceScanSumGePairwise(
-          {words.data() + 2 * from, 2 * (n - from)}, 0.0, 2.0,
-          {a.data() + from, n - from}, {bars.data() + from, n - from}, 0.5);
-      ASSERT_LT(k, ref.size());
-      ASSERT_EQ(hit.index, ref[k].index) << DispatchLevelName(level);
-      ASSERT_EQ(std::bit_cast<uint64_t>(hit.nu),
-                std::bit_cast<uint64_t>(ref[k].nu))
-          << DispatchLevelName(level);
-      ++k;
-      if (from + hit.index >= n) break;
-      from += hit.index + 1;
-    }
-    EXPECT_EQ(k, ref.size()) << DispatchLevelName(level);
-  }
-}
-
-TEST(VecmathFusedScanTest, OddTailsAndEmptySpans) {
-  // Chunk tails shorter than one SIMD width delegate to the scalar lane —
-  // the same rule as the unfused kernels. Regression-test every length
-  // that straddles the AVX2 (4) and AVX-512 (8, plus sub-width) tails,
-  // and the empty span, at every level.
-  ScopedDispatchLevel restore;
-  Rng rng(7);
-  std::vector<uint64_t> words(2 * 32);
-  rng.FillUint64(words);
-  std::vector<double> a(32, -1.0), bars(32, 1e9);
-  const Laplace dist(0.0, 1.0);
-  std::vector<double> nu(32);
-
-  for (DispatchLevel level : kAllDispatchLevels) {
-    if (!SetDispatchLevel(level)) continue;
-    dist.TransformBlock(words, nu);
-    for (size_t len : {size_t{0}, size_t{1}, size_t{2}, size_t{3}, size_t{5},
-                       size_t{7}, size_t{9}, size_t{11}, size_t{15},
-                       size_t{17}, size_t{31}}) {
-      // No-hit scans return {len, 0.0} for every variant.
-      EXPECT_EQ(FusedLaplaceScanGe({words.data(), 2 * len}, 0.0, 1.0, 1e9)
-                    .index,
-                len)
-          << DispatchLevelName(level) << " len=" << len;
-      EXPECT_EQ(FusedLaplaceScanSumGe({words.data(), 2 * len}, 0.0, 1.0,
-                                      {a.data(), len}, 1e9)
-                    .index,
-                len);
-      EXPECT_EQ(FusedLaplaceScanGePairwise({words.data(), 2 * len}, 0.0, 1.0,
-                                           {bars.data(), len}, 0.0)
-                    .index,
-                len);
-      EXPECT_EQ(
-          FusedLaplaceScanSumGePairwise({words.data(), 2 * len}, 0.0, 1.0,
-                                        {a.data(), len}, {bars.data(), len},
-                                        0.0)
-              .index,
-          len);
-      if (len == 0) continue;
-      // A hit in the very last element of an odd tail is found with the
-      // oracle's ν.
-      const size_t last = len - 1;
-      const double bar = nu[last];  // ties fire the ordered >=
-      const FusedScanHit hit =
-          FusedLaplaceScanGe({words.data(), 2 * len}, 0.0, 1.0, bar);
-      ASSERT_LE(hit.index, last);
-      ASSERT_EQ(std::bit_cast<uint64_t>(hit.nu),
-                std::bit_cast<uint64_t>(nu[hit.index]))
-          << DispatchLevelName(level) << " len=" << len;
-    }
   }
 }
 
@@ -791,191 +536,8 @@ TEST(VecmathExpNoiseTest, TransformBitIdenticalAcrossLevels) {
   }
 }
 
-TEST(VecmathFusedExpScanTest, MatchesUnfusedCompositionAtEveryLevel) {
-  // Exponential mirror of the Laplace fused-vs-composition walk: the fused
-  // kernels must reproduce TransformBlock + FindFirst* exactly — indices
-  // and ν payload bits — at every dispatch level. One word per variate.
-  ScopedDispatchLevel restore;
-  Rng rng(321);
-  const size_t n = 1003;  // odd: exercises every lane tail
-  std::vector<uint64_t> words(n);
-  rng.FillUint64(words);
-  words[0] = ~0ull;   // u == 1 lattice edge: ν == -0.0
-  words[500] = 0;     // largest draw
-  const double b = 1.75;
-  std::vector<double> a(n), bars(n);
-  rng.FillDouble(a);
-  rng.FillDouble(bars);
-  for (size_t i = 0; i < n; ++i) {
-    a[i] = (a[i] - 0.5) * 8.0;     // straddle the ν scale
-    bars[i] = bars[i] * 4.0;       // one-sided ν: keep bars in reach
-  }
-  const double rho = 0.125;
-
-  const Exponential dist = Exponential::FromScale(b);
-  std::vector<double> nu(n);
-
-  for (DispatchLevel level : kAllDispatchLevels) {
-    if (!SetDispatchLevel(level)) continue;
-    const std::string ctx = DispatchLevelName(level);
-    dist.TransformBlock(words, nu);  // the oracle's ν block, same level
-
-    const auto walk = [&](auto fused, auto oracle) {
-      size_t from = 0;
-      while (from <= n) {
-        const std::span<const uint64_t> w{words.data() + from, n - from};
-        const FusedScanHit hit = fused(w, from);
-        const size_t expect = oracle(from);
-        ASSERT_EQ(from + hit.index, expect) << ctx << " from=" << from;
-        if (expect >= n) {
-          ASSERT_EQ(hit.index, n - from);
-          ASSERT_EQ(hit.nu, 0.0) << ctx << " no-hit nu must be 0";
-          break;
-        }
-        ASSERT_EQ(std::bit_cast<uint64_t>(hit.nu),
-                  std::bit_cast<uint64_t>(nu[expect]))
-            << ctx << " nu diverges at " << expect;
-        from = expect + 1;
-      }
-    };
-
-    const double bar = b;  // plenty of hits, plenty of gaps
-    walk(
-        [&](std::span<const uint64_t> w, size_t) {
-          return FusedExpScanGe(w, b, bar);
-        },
-        [&](size_t from) {
-          size_t j = from;
-          while (j < n && !(nu[j] >= bar)) ++j;
-          return j;
-        });
-    walk(
-        [&](std::span<const uint64_t> w, size_t from) {
-          return FusedExpScanSumGe(w, b, {a.data() + from, n - from}, bar);
-        },
-        [&](size_t from) {
-          return from + FindFirstSumGe({a.data() + from, n - from},
-                                       {nu.data() + from, n - from}, bar);
-        });
-    walk(
-        [&](std::span<const uint64_t> w, size_t from) {
-          return FusedExpScanGePairwise(w, b, {bars.data() + from, n - from},
-                                        rho);
-        },
-        [&](size_t from) {
-          size_t j = from;
-          while (j < n && !(nu[j] >= bars[j] + rho)) ++j;
-          return j;
-        });
-    walk(
-        [&](std::span<const uint64_t> w, size_t from) {
-          return FusedExpScanSumGePairwise(
-              w, b, {a.data() + from, n - from},
-              {bars.data() + from, n - from}, rho);
-        },
-        [&](size_t from) {
-          return from + FindFirstSumGePairwise({a.data() + from, n - from},
-                                               {nu.data() + from, n - from},
-                                               {bars.data() + from, n - from},
-                                               rho);
-        });
-  }
-}
-
-TEST(VecmathFusedExpScanTest, BitIdenticalAcrossDispatchLevels) {
-  // Fused exponential results (index AND ν payload) must not depend on the
-  // lane, for hit positions at every lane offset.
-  ScopedDispatchLevel restore;
-  Rng rng(99);
-  const size_t n = 531;
-  std::vector<uint64_t> words(n);
-  rng.FillUint64(words);
-  std::vector<double> a(n), bars(n);
-  rng.FillDouble(a);
-  rng.FillDouble(bars);
-
-  ASSERT_TRUE(SetDispatchLevel(DispatchLevel::kScalar));
-  std::vector<FusedScanHit> ref;
-  for (size_t from = 0; from <= n;) {
-    const FusedScanHit hit = FusedExpScanSumGePairwise(
-        {words.data() + from, n - from}, 2.0, {a.data() + from, n - from},
-        {bars.data() + from, n - from}, 0.5);
-    ref.push_back(hit);
-    if (from + hit.index >= n) break;
-    from += hit.index + 1;
-  }
-  ASSERT_GT(ref.size(), 2u) << "workload must contain several hits";
-
-  for (DispatchLevel level :
-       {DispatchLevel::kAvx2, DispatchLevel::kAvx512}) {
-    if (!SetDispatchLevel(level)) continue;
-    size_t k = 0;
-    for (size_t from = 0; from <= n;) {
-      const FusedScanHit hit = FusedExpScanSumGePairwise(
-          {words.data() + from, n - from}, 2.0, {a.data() + from, n - from},
-          {bars.data() + from, n - from}, 0.5);
-      ASSERT_LT(k, ref.size());
-      ASSERT_EQ(hit.index, ref[k].index) << DispatchLevelName(level);
-      ASSERT_EQ(std::bit_cast<uint64_t>(hit.nu),
-                std::bit_cast<uint64_t>(ref[k].nu))
-          << DispatchLevelName(level);
-      ++k;
-      if (from + hit.index >= n) break;
-      from += hit.index + 1;
-    }
-    EXPECT_EQ(k, ref.size()) << DispatchLevelName(level);
-  }
-}
-
-TEST(VecmathFusedExpScanTest, OddTailsAndEmptySpans) {
-  // Same tail rule as the Laplace kernels: sub-SIMD-width tails delegate to
-  // the scalar lane. One word per element here.
-  ScopedDispatchLevel restore;
-  Rng rng(7);
-  std::vector<uint64_t> words(32);
-  rng.FillUint64(words);
-  std::vector<double> a(32, -1.0), bars(32, 1e9);
-  const Exponential dist = Exponential::FromScale(1.0);
-  std::vector<double> nu(32);
-
-  for (DispatchLevel level : kAllDispatchLevels) {
-    if (!SetDispatchLevel(level)) continue;
-    dist.TransformBlock(words, nu);
-    for (size_t len : {size_t{0}, size_t{1}, size_t{2}, size_t{3}, size_t{5},
-                       size_t{7}, size_t{9}, size_t{11}, size_t{15},
-                       size_t{17}, size_t{31}}) {
-      // No-hit scans return {len, 0.0} for every variant.
-      EXPECT_EQ(FusedExpScanGe({words.data(), len}, 1.0, 1e9).index, len)
-          << DispatchLevelName(level) << " len=" << len;
-      EXPECT_EQ(
-          FusedExpScanSumGe({words.data(), len}, 1.0, {a.data(), len}, 1e9)
-              .index,
-          len);
-      EXPECT_EQ(FusedExpScanGePairwise({words.data(), len}, 1.0,
-                                       {bars.data(), len}, 0.0)
-                    .index,
-                len);
-      EXPECT_EQ(FusedExpScanSumGePairwise({words.data(), len}, 1.0,
-                                          {a.data(), len}, {bars.data(), len},
-                                          0.0)
-                    .index,
-                len);
-      if (len == 0) continue;
-      // A hit in the very last element of an odd tail is found with the
-      // oracle's ν.
-      const size_t last = len - 1;
-      const double bar = nu[last];  // ties fire the ordered >=
-      const FusedScanHit hit = FusedExpScanGe({words.data(), len}, 1.0, bar);
-      ASSERT_LE(hit.index, last);
-      ASSERT_EQ(std::bit_cast<uint64_t>(hit.nu),
-                std::bit_cast<uint64_t>(nu[hit.index]))
-          << DispatchLevelName(level) << " len=" << len;
-    }
-  }
-}
-
 TEST(VecmathDispatchTest, ScalarKernelMatchesComposedDefinition) {
-  // The fused sampling kernels are *defined* by composition of Log and the
+  // The sampling kernels are *defined* by composition of Log and the
   // lattice map; pin that definition at the scalar level.
   Rng rng(99);
   std::vector<uint64_t> words(64);
@@ -992,34 +554,57 @@ TEST(VecmathDispatchTest, ScalarKernelMatchesComposedDefinition) {
   }
 }
 
-// --- Megakernel equivalence: in-register generation vs composition -------
+// --- Megakernels against their definition --------------------------------
 
 bool StatesEqual(const BlockRng::State& a, const BlockRng::State& b) {
   return a.phase == b.phase && a.words == b.words;
 }
 
-// Walks every hit of a megakernel against its FillUint64 + fused-scan
-// composition oracle: hit indices, ν payloads bit for bit, and — after
-// every single call — the stream position, by advancing a shadow Rng with
-// FillUint64 over exactly the words the megakernel claims to have
-// consumed and comparing States. This is the "in-kernel generation is
-// stream-neutral" contract, including mid-chunk positive resume (each
-// loop iteration resumes the same State the previous hit left behind).
-// `pre_draws` > 0 enters the kernels at an unaligned phase, covering the
-// SIMD lanes' whole-call scalar delegation.
-template <typename MegaFn, typename FusedFn>
-void WalkMegaVsComposition(uint64_t seed, size_t n, size_t wpv,
-                           uint32_t pre_draws, MegaFn mega_fn,
-                           FusedFn fused_fn, const std::string& ctx,
-                           size_t* hits_out = nullptr) {
-  Rng comp_rng(seed), mega_rng(seed), shadow(seed);
+// The megakernels' definition (common/vecmath.h): the words a FillUint64
+// would produce, through LaplaceTransformBlock (wpv == 2) or
+// ExponentialTransformBlock (wpv == 1, no location), then the streaming
+// positive test as a scalar loop — a[i] + ν[i] >= bar, or per query
+// a[i] + ν[i] >= bars[i] + rho when `bars` is non-null.
+FusedScanHit DefinitionScan(std::span<const uint64_t> words, size_t wpv,
+                            double mu, double b, const double* a, double bar,
+                            const double* bars = nullptr, double rho = 0.0) {
+  std::vector<double> nu(words.size() / wpv);
+  if (wpv == 2) {
+    LaplaceTransformBlock(words, mu, b, nu);
+  } else {
+    ExponentialTransformBlock(words, b, nu);
+  }
+  for (size_t i = 0; i < nu.size(); ++i) {
+    const bool fires =
+        bars == nullptr ? a[i] + nu[i] >= bar : a[i] + nu[i] >= bars[i] + rho;
+    if (fires) return {i, nu[i]};
+  }
+  return {nu.size(), 0.0};
+}
+
+// Walks every hit of a megakernel against DefinitionScan over the words a
+// FillUint64 from the same origin produces: hit indices, ν payloads bit
+// for bit, and — after every single call — the stream position, by
+// advancing a shadow Rng with FillUint64 over exactly the words the
+// megakernel claims to have consumed and comparing States. This is the
+// "in-kernel generation is stream-neutral" contract, including mid-chunk
+// positive resume (each loop iteration resumes the same State the
+// previous hit left behind). `pre_draws` > 0 enters the kernels at an
+// unaligned phase, covering the SIMD lanes' whole-call scalar delegation.
+// `def_fn(words, from)` applies DefinitionScan to the suffix at `from`.
+template <typename MegaFn, typename DefFn>
+void WalkMegaVsDefinition(uint64_t seed, size_t n, size_t wpv,
+                          uint32_t pre_draws, MegaFn mega_fn, DefFn def_fn,
+                          const std::string& ctx,
+                          size_t* hits_out = nullptr) {
+  Rng fill_rng(seed), mega_rng(seed), shadow(seed);
   for (uint32_t i = 0; i < pre_draws; ++i) {
-    comp_rng.NextUint64();
+    fill_rng.NextUint64();
     mega_rng.NextUint64();
     shadow.NextUint64();
   }
   std::vector<uint64_t> words(wpv * n);
-  comp_rng.FillUint64(words);
+  fill_rng.FillUint64(words);
   BlockRng::State st = mega_rng.state();
   std::vector<uint64_t> scratch;
   size_t hits = 0;
@@ -1027,9 +612,8 @@ void WalkMegaVsComposition(uint64_t seed, size_t n, size_t wpv,
   while (from <= n) {
     const size_t rem = n - from;
     const FusedScanHit want =
-        fused_fn(std::span<const uint64_t>{words.data() + wpv * from,
-                                           wpv * rem},
-                 from);
+        def_fn(std::span<const uint64_t>{words.data() + wpv * from, wpv * rem},
+               from);
     const FusedScanHit got = mega_fn(&st, from);
     ASSERT_EQ(got.index, want.index) << ctx << " from=" << from;
     ASSERT_EQ(std::bit_cast<uint64_t>(got.nu),
@@ -1046,12 +630,15 @@ void WalkMegaVsComposition(uint64_t seed, size_t n, size_t wpv,
     ++hits;
     from += want.index + 1;
   }
-  // The full walk consumed exactly the words the composition filled.
-  ASSERT_TRUE(StatesEqual(st, comp_rng.state())) << ctx;
+  // The full walk consumed exactly the words the definition filled.
+  ASSERT_TRUE(StatesEqual(st, fill_rng.state())) << ctx;
   if (hits_out) *hits_out = hits;
 }
 
-TEST(VecmathMegaScanTest, MatchesFillPlusFusedCompositionAtEveryLevel) {
+TEST(VecmathMegaScanTest, MatchesDefinitionAtEveryLevel) {
+  // The four scan entry points the batch engine calls, each against its
+  // definition. The common-threshold scans exist only in bounded form; at
+  // kMegaNeverSkipWord they skip nothing.
   ScopedDispatchLevel restore;
   const size_t n = 1003;  // odd: exercises every lane tail
   std::vector<double> a(n), bars(n);
@@ -1064,6 +651,7 @@ TEST(VecmathMegaScanTest, MatchesFillPlusFusedCompositionAtEveryLevel) {
   }
   const double mu = 0.25, b = 1.75, rho = 0.125;
   const double bar = mu + b;  // plenty of hits, plenty of gaps
+  constexpr uint64_t kAll = kMegaNeverSkipWord;
 
   for (DispatchLevel level : kAllDispatchLevels) {
     if (!SetDispatchLevel(level)) continue;
@@ -1071,19 +659,18 @@ TEST(VecmathMegaScanTest, MatchesFillPlusFusedCompositionAtEveryLevel) {
       const std::string ctx =
           std::string(DispatchLevelName(level)) + " pre=" + std::to_string(pre);
       size_t hits = 0;
-      WalkMegaVsComposition(
+      WalkMegaVsDefinition(
           17, n, 2, pre,
           [&](BlockRng::State* st, size_t from) {
-            return MegaLaplaceScanSumGe(st, mu, b, {a.data() + from, n - from},
-                                        bar);
+            return MegaLaplaceScanSumGeBounded(
+                st, mu, b, {a.data() + from, n - from}, bar, kAll);
           },
           [&](std::span<const uint64_t> w, size_t from) {
-            return FusedLaplaceScanSumGe(w, mu, b, {a.data() + from, n - from},
-                                         bar);
+            return DefinitionScan(w, 2, mu, b, a.data() + from, bar);
           },
           ctx + " laplace", &hits);
       EXPECT_GT(hits, 2u) << ctx << " workload must contain several hits";
-      WalkMegaVsComposition(
+      WalkMegaVsDefinition(
           17, n, 2, pre,
           [&](BlockRng::State* st, size_t from) {
             return MegaLaplaceScanSumGePairwise(
@@ -1091,22 +678,22 @@ TEST(VecmathMegaScanTest, MatchesFillPlusFusedCompositionAtEveryLevel) {
                 {bars.data() + from, n - from}, rho);
           },
           [&](std::span<const uint64_t> w, size_t from) {
-            return FusedLaplaceScanSumGePairwise(
-                w, mu, b, {a.data() + from, n - from},
-                {bars.data() + from, n - from}, rho);
+            return DefinitionScan(w, 2, mu, b, a.data() + from, 0.0,
+                                  bars.data() + from, rho);
           },
           ctx + " laplace-pairwise");
-      WalkMegaVsComposition(
+      WalkMegaVsDefinition(
           17, n, 1, pre,
           [&](BlockRng::State* st, size_t from) {
-            return MegaExpScanSumGe(st, b, {a.data() + from, n - from}, bar);
+            return MegaExpScanSumGeBounded(st, b, {a.data() + from, n - from},
+                                           bar, kAll);
           },
           [&](std::span<const uint64_t> w, size_t from) {
-            return FusedExpScanSumGe(w, b, {a.data() + from, n - from}, bar);
+            return DefinitionScan(w, 1, 0.0, b, a.data() + from, bar);
           },
           ctx + " exp", &hits);
       EXPECT_GT(hits, 2u) << ctx << " workload must contain several hits";
-      WalkMegaVsComposition(
+      WalkMegaVsDefinition(
           17, n, 1, pre,
           [&](BlockRng::State* st, size_t from) {
             return MegaExpScanSumGePairwise(st, b, {a.data() + from, n - from},
@@ -1114,9 +701,8 @@ TEST(VecmathMegaScanTest, MatchesFillPlusFusedCompositionAtEveryLevel) {
                                             rho);
           },
           [&](std::span<const uint64_t> w, size_t from) {
-            return FusedExpScanSumGePairwise(w, b, {a.data() + from, n - from},
-                                             {bars.data() + from, n - from},
-                                             rho);
+            return DefinitionScan(w, 1, 0.0, b, a.data() + from, 0.0,
+                                  bars.data() + from, rho);
           },
           ctx + " exp-pairwise");
     }
@@ -1128,7 +714,7 @@ TEST(VecmathMegaScanTest, OddTailsEmptySpansAndEdgeBars) {
   // empty span, a bar no element reaches (pure miss: full-span state
   // advance), a bar every element clears (immediate hit: one-element
   // advance every call), and a moderate bar in between — all walked
-  // against the composition at every level.
+  // against the definition at every level.
   ScopedDispatchLevel restore;
   constexpr size_t kMaxLen = 33;
   std::vector<double> a(kMaxLen, 0.0);
@@ -1143,26 +729,26 @@ TEST(VecmathMegaScanTest, OddTailsEmptySpansAndEdgeBars) {
         const std::string ctx = std::string(DispatchLevelName(level)) +
                                 " len=" + std::to_string(len) +
                                 " bar=" + std::to_string(bar);
-        WalkMegaVsComposition(
+        WalkMegaVsDefinition(
             7, len, 2, 0,
             [&](BlockRng::State* st, size_t from) {
-              return MegaLaplaceScanSumGe(st, mu, b,
-                                          {a.data() + from, len - from}, bar);
+              return MegaLaplaceScanSumGeBounded(
+                  st, mu, b, {a.data() + from, len - from}, bar,
+                  kMegaNeverSkipWord);
             },
             [&](std::span<const uint64_t> w, size_t from) {
-              return FusedLaplaceScanSumGe(w, mu, b,
-                                           {a.data() + from, len - from}, bar);
+              return DefinitionScan(w, 2, mu, b, a.data() + from, bar);
             },
             ctx + " laplace");
-        WalkMegaVsComposition(
+        WalkMegaVsDefinition(
             7, len, 1, 0,
             [&](BlockRng::State* st, size_t from) {
-              return MegaExpScanSumGe(st, b, {a.data() + from, len - from},
-                                      bar);
+              return MegaExpScanSumGeBounded(st, b,
+                                             {a.data() + from, len - from},
+                                             bar, kMegaNeverSkipWord);
             },
             [&](std::span<const uint64_t> w, size_t from) {
-              return FusedExpScanSumGe(w, b, {a.data() + from, len - from},
-                                       bar);
+              return DefinitionScan(w, 1, 0.0, b, a.data() + from, bar);
             },
             ctx + " exp");
       }
@@ -1305,7 +891,7 @@ TEST(VecmathMegaBoundedTest, SkipWordThresholdShape) {
 }
 
 TEST(VecmathMegaBoundedTest, BoundedScanMatchesUnboundedAtEveryLevel) {
-  // The bounded scans must be bit-identical to the unbounded megakernels
+  // The bounded scans must be bit-identical to the unbounded definition
   // — same hit indices, same ν payloads, same end states — at every
   // dispatch level, both with the production word threshold (near-bar
   // answers keep boundary pressure on its soundness) and with the
@@ -1333,26 +919,25 @@ TEST(VecmathMegaBoundedTest, BoundedScanMatchesUnboundedAtEveryLevel) {
                                 " pre=" + std::to_string(pre) +
                                 " skip=" + std::to_string(skip);
         size_t hits = 0;
-        WalkMegaVsComposition(
+        WalkMegaVsDefinition(
             41, n, 2, pre,
             [&](BlockRng::State* st, size_t from) {
               return MegaLaplaceScanSumGeBounded(
                   st, 0.0, b, {a.data() + from, n - from}, bar, skip);
             },
             [&](std::span<const uint64_t> w, size_t from) {
-              return FusedLaplaceScanSumGe(w, 0.0, b,
-                                           {a.data() + from, n - from}, bar);
+              return DefinitionScan(w, 2, 0.0, b, a.data() + from, bar);
             },
             ctx + " laplace", &hits);
         EXPECT_GT(hits, 1u) << ctx << " workload must contain hits";
-        WalkMegaVsComposition(
+        WalkMegaVsDefinition(
             41, n, 1, pre,
             [&](BlockRng::State* st, size_t from) {
               return MegaExpScanSumGeBounded(st, b, {a.data() + from, n - from},
                                              bar, skip);
             },
             [&](std::span<const uint64_t> w, size_t from) {
-              return FusedExpScanSumGe(w, b, {a.data() + from, n - from}, bar);
+              return DefinitionScan(w, 1, 0.0, b, a.data() + from, bar);
             },
             ctx + " exp", &hits);
         EXPECT_GT(hits, 1u) << ctx << " workload must contain hits";

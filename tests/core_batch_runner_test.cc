@@ -13,7 +13,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -537,13 +536,11 @@ TEST(BatchRunnerTest, InterleavedCommonAndPerQueryRunAppendAcrossLevels) {
     EXPECT_EQ(batch->positives_emitted(), stream->positives_emitted());
     EXPECT_EQ(batch->queries_processed(), stream->queries_processed());
 
-    // The fused paths must be observable: both overloads ran tier-2, the
-    // per-query path pulled bounded sub-blocks, and the counters — like
-    // the responses — are dispatch-level-independent.
+    // The tier-2 paths must be observable: both overloads ran tier-2, and
+    // the counters — like the responses — are dispatch-level-independent.
     const BatchRunStats& st = batch->batch_stats();
     EXPECT_GT(st.tier2_chunks_scanned, 0) << vec::DispatchLevelName(level);
     EXPECT_GT(st.tier2_fused_segments, 0) << vec::DispatchLevelName(level);
-    EXPECT_GT(st.tier2_fused_subblocks, 0) << vec::DispatchLevelName(level);
     if (!scalar_stats.has_value()) {
       scalar_stats = st;
     } else {
@@ -551,8 +548,6 @@ TEST(BatchRunnerTest, InterleavedCommonAndPerQueryRunAppendAcrossLevels) {
       EXPECT_EQ(st.tier1_chunks_jumped, scalar_stats->tier1_chunks_jumped);
       EXPECT_EQ(st.tier2_chunks_scanned, scalar_stats->tier2_chunks_scanned);
       EXPECT_EQ(st.tier2_fused_segments, scalar_stats->tier2_fused_segments);
-      EXPECT_EQ(st.tier2_fused_subblocks,
-                scalar_stats->tier2_fused_subblocks);
       EXPECT_EQ(st.tier2_spans_skipped, scalar_stats->tier2_spans_skipped);
     }
   }
@@ -700,47 +695,125 @@ TEST(BatchRunnerTest, ExpNuOneSidedEnvelopeTierBehavior) {
   }
 }
 
-class ScopedBatchKernelMode {
- public:
-  explicit ScopedBatchKernelMode(BatchKernelMode mode)
-      : saved_(ActiveBatchKernelMode()) {
-    SetBatchKernelMode(mode);
-  }
-  ~ScopedBatchKernelMode() { SetBatchKernelMode(saved_); }
+// --- megakernel engine against the streaming loop -------------------------
 
-  ScopedBatchKernelMode(const ScopedBatchKernelMode&) = delete;
-  ScopedBatchKernelMode& operator=(const ScopedBatchKernelMode&) = delete;
-
- private:
-  BatchKernelMode saved_;
-};
-
-TEST(BatchRunnerTest, ParseBatchKernelModeFallsBackOnUnrecognized) {
-  BatchKernelMode mode = BatchKernelMode::kComposition;
-  EXPECT_TRUE(ParseBatchKernelMode("megakernel", &mode));
-  EXPECT_EQ(mode, BatchKernelMode::kMegakernel);
-  EXPECT_TRUE(ParseBatchKernelMode("composition", &mode));
-  EXPECT_EQ(mode, BatchKernelMode::kComposition);
-  // Anything else leaves *mode untouched: the SVT_BATCH_KERNELS reader
-  // logs one warning and keeps the default instead of aborting.
-  EXPECT_FALSE(ParseBatchKernelMode("fused", &mode));
-  EXPECT_EQ(mode, BatchKernelMode::kComposition);
-  EXPECT_FALSE(ParseBatchKernelMode("", &mode));
-  EXPECT_EQ(mode, BatchKernelMode::kComposition);
-  EXPECT_FALSE(ParseBatchKernelMode("Megakernel", &mode));
-  EXPECT_EQ(mode, BatchKernelMode::kComposition);
+// Every BatchRunStats counter must agree between runs that differ only in
+// dispatch level.
+void ExpectSameStats(const BatchRunStats& a, const BatchRunStats& b,
+                     const std::string& ctx) {
+  EXPECT_EQ(a.tier1_chunks_skipped, b.tier1_chunks_skipped) << ctx;
+  EXPECT_EQ(a.tier1_chunks_jumped, b.tier1_chunks_jumped) << ctx;
+  EXPECT_EQ(a.tier2_chunks_scanned, b.tier2_chunks_scanned) << ctx;
+  EXPECT_EQ(a.tier2_fused_segments, b.tier2_fused_segments) << ctx;
+  EXPECT_EQ(a.tier2_spans_skipped, b.tier2_spans_skipped) << ctx;
+  EXPECT_EQ(a.bound_spans_pruned_q, b.bound_spans_pruned_q) << ctx;
+  EXPECT_EQ(a.bound_bytes_touched, b.bound_bytes_touched) << ctx;
+  EXPECT_EQ(a.mega_words_skipped_q, b.mega_words_skipped_q) << ctx;
+  EXPECT_EQ(a.replay_rederivations, b.replay_rederivations) << ctx;
 }
 
-TEST(BatchRunnerTest, MegakernelAndCompositionModesAgreeExactly) {
-  // The kernel-mode axis is purely a performance toggle: responses, run
-  // counters, every batch statistic, and the RNG stream positions must be
-  // identical between modes — for Laplace and exponential ν, common and
+void ExpectSameState(const Rng::State& a, const Rng::State& b,
+                     const std::string& ctx) {
+  EXPECT_EQ(a.phase, b.phase) << ctx;
+  EXPECT_EQ(a.words, b.words) << ctx;
+}
+
+// One Run() call of a scripted sequence: a common bar, or per-query bars
+// when `bars` is set.
+struct RunCall {
+  const std::vector<double>* answers;
+  double threshold = 0.0;
+  const std::vector<double>* bars = nullptr;
+};
+
+// What a mechanism emitted and where it ended after a scripted sequence.
+struct Observed {
+  std::vector<std::vector<Response>> runs;
+  BatchRunStats stats;
+  int positives = 0;
+  int64_t processed = 0;
+  Rng::State nu_state;
+};
+
+// Replays `calls` on `mech` through the batch engine (Run) or through the
+// streaming reference, a Process() loop. No sequence here reaches its
+// cutoff, so the end ν substream state is specified for both.
+Observed Replay(SpecDrivenSvt* mech, const std::vector<RunCall>& calls,
+                bool streaming) {
+  Observed obs;
+  for (const RunCall& c : calls) {
+    const std::vector<double>& a = *c.answers;
+    if (!streaming) {
+      obs.runs.push_back(c.bars != nullptr ? mech->Run(a, *c.bars)
+                                           : mech->Run(a, c.threshold));
+      continue;
+    }
+    std::vector<Response> out;
+    for (size_t i = 0; i < a.size() && !mech->exhausted(); ++i) {
+      out.push_back(
+          mech->Process(a[i], c.bars != nullptr ? (*c.bars)[i] : c.threshold));
+    }
+    obs.runs.push_back(std::move(out));
+  }
+  obs.stats = mech->batch_stats();
+  obs.positives = mech->positives_emitted();
+  obs.processed = mech->queries_processed();
+  obs.nu_state = mech->nu_stream_state();
+  return obs;
+}
+
+// Runs `calls` on two same-seed mechanisms from `make` — batch and
+// streaming — and demands identical responses, positives, queries
+// processed and end ν substream state. Returns the batch side.
+template <typename MakeMech>
+Observed ExpectBatchMatchesStreaming(MakeMech make, uint64_t seed,
+                                     const std::vector<RunCall>& calls,
+                                     const std::string& ctx) {
+  Rng rng_batch(seed), rng_stream(seed);
+  const std::unique_ptr<SpecDrivenSvt> batch_mech = make(&rng_batch);
+  const std::unique_ptr<SpecDrivenSvt> stream_mech = make(&rng_stream);
+  const Observed batch = Replay(batch_mech.get(), calls, /*streaming=*/false);
+  const Observed stream = Replay(stream_mech.get(), calls, /*streaming=*/true);
+  for (size_t r = 0; r < calls.size(); ++r) {
+    ExpectSameResponses(batch.runs[r], stream.runs[r],
+                        ctx + " run " + std::to_string(r));
+  }
+  EXPECT_EQ(batch.positives, stream.positives) << ctx;
+  EXPECT_EQ(batch.processed, stream.processed) << ctx;
+  ExpectSameState(batch.nu_state, stream.nu_state, ctx + " end nu state");
+  return batch;
+}
+
+// The Laplace-ν SparseVector (at `epsilon`) or the all-exponential spec,
+// optionally redrawing ρ after every positive.
+std::unique_ptr<SpecDrivenSvt> MakeSvt(NoiseKind nu_kind, Rng* rng,
+                                       bool resample, double epsilon = 0.5,
+                                       int cutoff = 1 << 20) {
+  if (nu_kind == NoiseKind::kExponential) {
+    VariantSpec spec = AllExponentialSpec();
+    spec.cutoff = cutoff;
+    if (resample) {
+      spec.resample_rho_after_positive = true;
+      spec.rho_resample_scale = 1.0;
+    }
+    return std::make_unique<CustomSvt>(spec, rng);
+  }
+  SvtOptions o;
+  o.epsilon = epsilon;
+  o.cutoff = cutoff;
+  o.resample_threshold_noise = resample;
+  return SparseVector::Create(o, rng).value();
+}
+
+TEST(BatchRunnerTest, MegakernelMatchesStreamingExactly) {
+  // Responses, run counters and the end ν substream position must equal
+  // the streaming loop's — for Laplace and exponential ν, common and
   // per-query thresholds, near-threshold (tier-2 + positives + resumes)
-  // and far-below (tier-1) chunks, at every dispatch level. The stream
-  // positions are pinned by the back-to-back runs: any divergence in
-  // words consumed by run 1 would shift every draw of run 2.
+  // and far-below (tier-1) chunks, at every dispatch level — and every
+  // batch statistic must be identical across levels. The stream positions
+  // are pinned by the back-to-back runs: any divergence in words consumed
+  // by run 1 would shift every draw of run 2.
   ScopedDispatchLevel restore_level;
-  ScopedBatchKernelMode restore_mode(ActiveBatchKernelMode());
 
   const size_t n = 2 * BatchRunner::kChunkSize + 123;
   std::vector<double> near(n), bars(n);
@@ -753,116 +826,54 @@ TEST(BatchRunnerTest, MegakernelAndCompositionModesAgreeExactly) {
     bars[i] = gen.NextDouble() - 0.5;
   }
   const std::vector<double> far(n, -1e9);  // tier-1 skips every chunk
+  // Back-to-back re-run without reseeding (its resumes re-enter
+  // mid-chunk), then the per-query arm.
+  const std::vector<RunCall> calls = {
+      {&near, 0.0}, {&far, 0.0}, {&near, -0.5}, {&near, 0.0, &bars}};
 
-  struct Observed {
-    std::vector<Response> common_near, common_far, common_resumed, per_query;
-    BatchRunStats stats;
-    int64_t positives = 0, processed = 0;
-  };
-  const auto run_all = [&](BatchKernelMode mode, bool exp_nu) {
-    SetBatchKernelMode(mode);
-    Observed obs;
-    Rng rng(77);
-    std::unique_ptr<SvtMechanism> mech;
-    if (exp_nu) {
-      mech = std::make_unique<CustomSvt>(AllExponentialSpec(), &rng);
-    } else {
-      SvtOptions o;
-      o.epsilon = 0.5;
-      o.cutoff = 1 << 20;
-      mech = SparseVector::Create(o, &rng).value();
-    }
-    obs.common_near = mech->Run(near, 0.0);
-    obs.common_far = mech->Run(far, 0.0);
-    // Back-to-back re-run without reseeding: catches any stream-position
-    // drift from run 1, and its resumes re-enter mid-chunk.
-    obs.common_resumed = mech->Run(near, -0.5);
-    obs.per_query = mech->Run(near, bars);
-    auto* spec_mech = dynamic_cast<SpecDrivenSvt*>(mech.get());
-    EXPECT_NE(spec_mech, nullptr);
-    if (spec_mech != nullptr) obs.stats = spec_mech->batch_stats();
-    obs.positives = mech->positives_emitted();
-    obs.processed = mech->queries_processed();
-    return obs;
-  };
-
-  // The element-granular per-query skip counter must be identical not just
-  // across kernel modes but across dispatch levels (it is a deterministic
-  // function of the stream words and the span skip words).
-  std::optional<int64_t> words_skipped_by_nu[2];
-
+  std::optional<BatchRunStats> first_stats[2];
   for (vec::DispatchLevel level : vec::kAllDispatchLevels) {
     if (!vec::SetDispatchLevel(level)) continue;
     for (bool exp_nu : {false, true}) {
       const std::string ctx = std::string(vec::DispatchLevelName(level)) +
                               (exp_nu ? " exp" : " laplace");
-      Observed mega, comp;
-      {
-        SCOPED_TRACE(ctx);
-        mega = run_all(BatchKernelMode::kMegakernel, exp_nu);
-        comp = run_all(BatchKernelMode::kComposition, exp_nu);
-      }
-      ExpectSameResponses(mega.common_near, comp.common_near,
-                          ctx + " common near");
-      ExpectSameResponses(mega.common_far, comp.common_far,
-                          ctx + " common far");
-      ExpectSameResponses(mega.common_resumed, comp.common_resumed,
-                          ctx + " common resumed");
-      ExpectSameResponses(mega.per_query, comp.per_query, ctx + " per-query");
-      EXPECT_EQ(mega.positives, comp.positives) << ctx;
-      EXPECT_GT(mega.positives, 0) << ctx << " workload must have positives";
-      EXPECT_EQ(mega.processed, comp.processed) << ctx;
-      EXPECT_EQ(mega.stats.tier1_chunks_skipped, comp.stats.tier1_chunks_skipped)
-          << ctx;
-      EXPECT_EQ(mega.stats.tier1_chunks_jumped, comp.stats.tier1_chunks_jumped)
-          << ctx;
-      EXPECT_EQ(mega.stats.tier2_chunks_scanned, comp.stats.tier2_chunks_scanned)
-          << ctx;
-      EXPECT_EQ(mega.stats.tier2_fused_segments, comp.stats.tier2_fused_segments)
-          << ctx;
-      EXPECT_EQ(mega.stats.tier2_spans_skipped, comp.stats.tier2_spans_skipped)
-          << ctx;
-      EXPECT_EQ(mega.stats.tier2_fused_subblocks,
-                comp.stats.tier2_fused_subblocks)
-          << ctx;
-      EXPECT_EQ(mega.stats.mega_words_skipped_q,
-                comp.stats.mega_words_skipped_q)
-          << ctx;
-      EXPECT_EQ(mega.stats.replay_rederivations,
-                comp.stats.replay_rederivations)
-          << ctx;
-      EXPECT_GT(mega.stats.tier1_chunks_skipped, 0) << ctx;
-      EXPECT_GT(mega.stats.tier2_spans_skipped, 0) << ctx;
+      const auto make = [exp_nu](Rng* rng) {
+        return MakeSvt(exp_nu ? NoiseKind::kExponential : NoiseKind::kLaplace,
+                       rng, /*resample=*/false);
+      };
+      const Observed got = ExpectBatchMatchesStreaming(make, 77, calls, ctx);
+      EXPECT_GT(got.positives, 0) << ctx << " workload must have positives";
+      EXPECT_GT(got.stats.tier1_chunks_skipped, 0) << ctx;
+      EXPECT_GT(got.stats.tier2_spans_skipped, 0) << ctx;
       // The far run's two full chunks are jumped; its partial tail is not.
-      EXPECT_EQ(mega.stats.tier1_chunks_jumped, 2) << ctx;
+      EXPECT_EQ(got.stats.tier1_chunks_jumped, 2) << ctx;
       // The per-query run's far-below spans have finite skip words, so the
       // skip counter moves; ρ never resamples here, so no resume enters
-      // under a moved ρ in either mode.
-      EXPECT_GT(mega.stats.mega_words_skipped_q, 0) << ctx;
-      EXPECT_EQ(mega.stats.replay_rederivations, 0) << ctx;
-      std::optional<int64_t>& words = words_skipped_by_nu[exp_nu ? 1 : 0];
-      if (!words.has_value()) {
-        words = mega.stats.mega_words_skipped_q;
+      // under a moved ρ.
+      EXPECT_GT(got.stats.mega_words_skipped_q, 0) << ctx;
+      EXPECT_EQ(got.stats.replay_rederivations, 0) << ctx;
+      std::optional<BatchRunStats>& first = first_stats[exp_nu ? 1 : 0];
+      if (!first.has_value()) {
+        first = got.stats;
       } else {
-        EXPECT_EQ(*words, mega.stats.mega_words_skipped_q) << ctx;
+        ExpectSameStats(got.stats, *first, ctx);
       }
     }
   }
 }
 
-TEST(BatchRunnerTest, MegakernelModeAgreesUnderRhoResampling) {
-  // ρ resampling moves the bar after every positive. Upward moves keep
-  // the megakernel arm's cached fused-scan hits live: the cached walk
-  // replays them with each recorded hit revalidated against the resampled
-  // bar (the recorded ν are bit-identical to streaming's, so revalidation
-  // is exact). Downward moves void the cache and the resume falls back to
+TEST(BatchRunnerTest, MegakernelMatchesStreamingUnderRhoResampling) {
+  // ρ resampling moves the bar after every positive, so every resume
+  // re-enters under a new bar. This workload is hit-dense (about half the
+  // queries fire: the ν scale of a 2^20 cutoff dwarfs the answers), so
+  // each chunk overflows the recorded-hit cache and every resume takes
   // the checkpoint walk — including rebuilding its stream cursor at an
-  // off-grid position from the enclosing span's pass-1 checkpoint. A
-  // hit-dense near-threshold workload forces many of both per chunk;
-  // responses, counters, and stream positions must still match the
-  // composition exactly at every dispatch level.
+  // off-grid position from the enclosing span's pass-1 checkpoint. The
+  // cached replay under a moved bar is covered by WordFreeTier1's
+  // exponential-ν case. Responses and stream positions must match
+  // streaming exactly at every dispatch level, and the counters must not
+  // depend on the level.
   ScopedDispatchLevel restore_level;
-  ScopedBatchKernelMode restore_mode(ActiveBatchKernelMode());
 
   const size_t n = 2 * BatchRunner::kChunkSize + 57;
   std::vector<double> near(n);
@@ -870,68 +881,46 @@ TEST(BatchRunnerTest, MegakernelModeAgreesUnderRhoResampling) {
   for (size_t i = 0; i < n; ++i) {
     near[i] = -2.0 + 2.5 * (gen.NextDouble() - 0.5);
   }
-
-  const auto run_all = [&](BatchKernelMode mode) {
-    SetBatchKernelMode(mode);
-    Rng rng(1234);
-    SvtOptions o;
-    o.epsilon = 0.75;
-    o.cutoff = 1 << 20;
-    o.resample_threshold_noise = true;
-    auto mech = SparseVector::Create(o, &rng).value();
-    std::vector<Response> out = mech->Run(near, 0.0);
-    // Second run resumes from a shifted stream; its chunks re-enter the
-    // fallback from fresh cached state.
-    std::vector<Response> out2 = mech->Run(near, -0.25);
-    auto* spec_mech = dynamic_cast<SpecDrivenSvt*>(mech.get());
-    EXPECT_NE(spec_mech, nullptr);
-    return std::tuple{std::move(out), std::move(out2),
-                      spec_mech != nullptr ? spec_mech->batch_stats()
-                                           : BatchRunStats{},
-                      mech->positives_emitted()};
+  // The second run resumes from a shifted stream; its chunks re-enter the
+  // fallback from fresh cached state.
+  const std::vector<RunCall> calls = {{&near, 0.0}, {&near, -0.25}};
+  const auto make = [](Rng* rng) {
+    return MakeSvt(NoiseKind::kLaplace, rng, /*resample=*/true, 0.75);
   };
 
+  std::optional<BatchRunStats> first_stats;
   for (vec::DispatchLevel level : vec::kAllDispatchLevels) {
     if (!vec::SetDispatchLevel(level)) continue;
     const std::string ctx(vec::DispatchLevelName(level));
-    const auto [mega1, mega2, mega_stats, mega_pos] =
-        run_all(BatchKernelMode::kMegakernel);
-    const auto [comp1, comp2, comp_stats, comp_pos] =
-        run_all(BatchKernelMode::kComposition);
-    ExpectSameResponses(mega1, comp1, ctx + " run 1");
-    ExpectSameResponses(mega2, comp2, ctx + " run 2");
-    EXPECT_EQ(mega_pos, comp_pos) << ctx;
-    EXPECT_GT(mega_pos, 20) << ctx << " workload must resample repeatedly";
-    EXPECT_EQ(mega_stats.tier2_fused_segments, comp_stats.tier2_fused_segments)
-        << ctx;
-    EXPECT_EQ(mega_stats.tier2_spans_skipped, comp_stats.tier2_spans_skipped)
-        << ctx;
-    // Every mid-chunk resume here enters under a freshly resampled ρ, and
-    // the counter is mode-independent by construction (counted centrally
-    // at the resume site, before the walk decides cache vs. fallback).
-    EXPECT_EQ(mega_stats.replay_rederivations, comp_stats.replay_rederivations)
-        << ctx;
-    EXPECT_GT(mega_stats.replay_rederivations, 0) << ctx;
+    const Observed got = ExpectBatchMatchesStreaming(make, 1234, calls, ctx);
+    EXPECT_GT(got.positives, 20) << ctx << " workload must resample repeatedly";
+    // Every mid-chunk resume here enters under a freshly resampled ρ
+    // (counted centrally at the resume site, before the walk decides cache
+    // vs. fallback).
+    EXPECT_GT(got.stats.replay_rederivations, 0) << ctx;
     // Common-threshold runs never touch the per-query skip counter.
-    EXPECT_EQ(mega_stats.mega_words_skipped_q, 0) << ctx;
-    EXPECT_EQ(comp_stats.mega_words_skipped_q, 0) << ctx;
+    EXPECT_EQ(got.stats.mega_words_skipped_q, 0) << ctx;
+    if (!first_stats.has_value()) {
+      first_stats = got.stats;
+    } else {
+      ExpectSameStats(got.stats, *first_stats, ctx);
+    }
   }
 }
 
-TEST(BatchRunnerTest, PerQueryResamplingAgreesAcrossModesAndLevels) {
+TEST(BatchRunnerTest, PerQueryResamplingMatchesStreamingAcrossLevels) {
   // RevSVT-style workload: per-query thresholds with ρ resampled after
-  // every positive. Each positive moves ρ mid-sub-block, so the megakernel
+  // every positive. Each positive moves ρ mid-chunk, so the megakernel
   // arm must either replay its recorded prepass hits against the resampled
   // ρ (upward moves — the span skip words derived at the entry ρ stay
   // sound because fl(bar_min + ρ) is monotone in ρ) or rebuild from span
   // checkpoints through the *bounded* pairwise kernels, re-deriving each
   // span's skip word at the current ρ (downward moves). Every third span
   // sits far below its bars so the skip-word vector actually bites.
-  // Responses, positives, and both new counters must match the
-  // composition exactly at every dispatch level — and the counters must
-  // be identical across levels too.
+  // Responses, positives and the end stream position must match streaming
+  // exactly at every dispatch level — and the counters must be identical
+  // across levels.
   ScopedDispatchLevel restore_level;
-  ScopedBatchKernelMode restore_mode(ActiveBatchKernelMode());
 
   const size_t n = 2 * BatchRunner::kChunkSize + 57;
   std::vector<double> answers(n), bars(n);
@@ -941,90 +930,49 @@ TEST(BatchRunnerTest, PerQueryResamplingAgreesAcrossModesAndLevels) {
     answers[i] = far_span ? -1e9 : -2.0 + 2.5 * (gen.NextDouble() - 0.5);
     bars[i] = gen.NextDouble() - 0.5;
   }
-
-  const auto run_all = [&](BatchKernelMode mode, bool exp_noise) {
-    SetBatchKernelMode(mode);
-    Rng rng(4242);
-    std::unique_ptr<SvtMechanism> mech;
-    if (exp_noise) {
-      VariantSpec spec = AllExponentialSpec();
-      spec.resample_rho_after_positive = true;
-      spec.rho_resample_scale = 1.0;
-      mech = std::make_unique<CustomSvt>(spec, &rng);
-    } else {
-      SvtOptions o;
-      o.epsilon = 0.75;
-      o.cutoff = 1 << 20;
-      o.resample_threshold_noise = true;
-      mech = SparseVector::Create(o, &rng).value();
-    }
-    std::vector<Response> out = mech->Run(answers, bars);
-    auto* spec_mech = dynamic_cast<SpecDrivenSvt*>(mech.get());
-    EXPECT_NE(spec_mech, nullptr);
-    return std::tuple{std::move(out),
-                      spec_mech != nullptr ? spec_mech->batch_stats()
-                                           : BatchRunStats{},
-                      mech->positives_emitted()};
-  };
+  const std::vector<RunCall> calls = {{&answers, 0.0, &bars}};
 
   for (bool exp_noise : {false, true}) {
-    std::optional<int64_t> level_words, level_rederiv;
+    const auto make = [exp_noise](Rng* rng) {
+      return MakeSvt(exp_noise ? NoiseKind::kExponential : NoiseKind::kLaplace,
+                     rng, /*resample=*/true, 0.75);
+    };
+    std::optional<BatchRunStats> first_stats;
     for (vec::DispatchLevel level : vec::kAllDispatchLevels) {
       if (!vec::SetDispatchLevel(level)) continue;
       const std::string ctx = std::string(vec::DispatchLevelName(level)) +
                               (exp_noise ? " exp" : " laplace");
-      const auto [mega, mega_stats, mega_pos] =
-          run_all(BatchKernelMode::kMegakernel, exp_noise);
-      const auto [comp, comp_stats, comp_pos] =
-          run_all(BatchKernelMode::kComposition, exp_noise);
-      ExpectSameResponses(mega, comp, ctx + " per-query resample");
-      EXPECT_EQ(mega_pos, comp_pos) << ctx;
-      EXPECT_GT(mega_pos, 10) << ctx << " workload must resample repeatedly";
-      EXPECT_EQ(mega_stats.tier2_fused_segments,
-                comp_stats.tier2_fused_segments)
-          << ctx;
-      EXPECT_EQ(mega_stats.tier2_spans_skipped, comp_stats.tier2_spans_skipped)
-          << ctx;
-      EXPECT_EQ(mega_stats.mega_words_skipped_q,
-                comp_stats.mega_words_skipped_q)
-          << ctx;
-      EXPECT_EQ(mega_stats.replay_rederivations,
-                comp_stats.replay_rederivations)
-          << ctx;
-      EXPECT_GT(mega_stats.mega_words_skipped_q, 0) << ctx;
-      EXPECT_GT(mega_stats.replay_rederivations, 0) << ctx;
-      if (!level_words.has_value()) {
-        level_words = mega_stats.mega_words_skipped_q;
-        level_rederiv = mega_stats.replay_rederivations;
+      const Observed got = ExpectBatchMatchesStreaming(make, 4242, calls, ctx);
+      EXPECT_GT(got.positives, 10) << ctx << " workload must resample repeatedly";
+      EXPECT_GT(got.stats.mega_words_skipped_q, 0) << ctx;
+      EXPECT_GT(got.stats.replay_rederivations, 0) << ctx;
+      if (!first_stats.has_value()) {
+        first_stats = got.stats;
       } else {
-        EXPECT_EQ(*level_words, mega_stats.mega_words_skipped_q) << ctx;
-        EXPECT_EQ(*level_rederiv, mega_stats.replay_rederivations) << ctx;
+        ExpectSameStats(got.stats, *first_stats, ctx);
       }
     }
   }
 }
 
-TEST(BatchRunnerTest, ResamplingHitOverflowAgreesAcrossModes) {
-  // The cached-hit replay only engages while a chunk's (or sub-block's)
-  // recorded prepass hits fit the fixed cache (kChunkSize/16 entries).
-  // This workload defeats it on purpose: the answers sit close enough
-  // under the bar that the recording prepass still runs (the skip word is
-  // finite) yet hundreds of elements fire the prepass test, so the
-  // recorder overflows and every resampled resume must take the
-  // checkpoint-rebuild path instead — in the common arm and, with half
-  // the spans far below to keep the skip-word vector live, in the
-  // per-query arm. Responses and counters must still match composition
-  // exactly at every dispatch level.
+TEST(BatchRunnerTest, ResamplingHitOverflowMatchesStreaming) {
+  // The cached-hit replay only engages while a chunk's recorded prepass
+  // hits fit the fixed cache (kChunkSize/16 entries). This workload
+  // defeats it on purpose: the answers sit close enough under the bar that
+  // the recording prepass still runs (the skip word is finite) yet
+  // hundreds of elements fire the prepass test, so the recorder overflows
+  // and every resampled resume must take the checkpoint-rebuild path
+  // instead — in the common arm and, with half the spans far below to keep
+  // the skip-word vector live, in the per-query arm. Responses and the
+  // stream position must still match streaming exactly at every dispatch
+  // level, with level-independent counters.
   ScopedDispatchLevel restore_level;
-  ScopedBatchKernelMode restore_mode(ActiveBatchKernelMode());
 
-  SvtOptions o;
-  o.epsilon = 0.75;
-  o.cutoff = 1 << 20;
-  o.resample_threshold_noise = true;
+  const auto make = [](Rng* rng) {
+    return MakeSvt(NoiseKind::kLaplace, rng, /*resample=*/true, 0.75);
+  };
   Rng rng_probe(8);
-  const double nu_scale =
-      SparseVector::Create(o, &rng_probe).value()->query_noise_scale();
+  const double nu_scale = make(&rng_probe)->spec().nu_scale;
 
   const size_t n = 2 * BatchRunner::kChunkSize + 57;
   std::vector<double> dense(n), mixed(n), bars(n);
@@ -1044,44 +992,23 @@ TEST(BatchRunnerTest, ResamplingHitOverflowAgreesAcrossModes) {
         far_span ? -1e9 : bars[i] + (-0.5 + 0.2 * (gen.NextDouble() - 0.5)) *
                               nu_scale;
   }
+  const std::vector<RunCall> calls = {{&dense, 0.0}, {&mixed, 0.0, &bars}};
 
-  const auto run_all = [&](BatchKernelMode mode) {
-    SetBatchKernelMode(mode);
-    Rng rng(9090);
-    auto mech = SparseVector::Create(o, &rng).value();
-    std::vector<Response> common = mech->Run(dense, 0.0);
-    std::vector<Response> per_query = mech->Run(mixed, bars);
-    auto* spec_mech = dynamic_cast<SpecDrivenSvt*>(mech.get());
-    EXPECT_NE(spec_mech, nullptr);
-    return std::tuple{std::move(common), std::move(per_query),
-                      spec_mech != nullptr ? spec_mech->batch_stats()
-                                           : BatchRunStats{},
-                      mech->positives_emitted()};
-  };
-
+  std::optional<BatchRunStats> first_stats;
   for (vec::DispatchLevel level : vec::kAllDispatchLevels) {
     if (!vec::SetDispatchLevel(level)) continue;
     const std::string ctx(vec::DispatchLevelName(level));
-    const auto [mega_c, mega_pq, mega_stats, mega_pos] =
-        run_all(BatchKernelMode::kMegakernel);
-    const auto [comp_c, comp_pq, comp_stats, comp_pos] =
-        run_all(BatchKernelMode::kComposition);
-    ExpectSameResponses(mega_c, comp_c, ctx + " overflow common");
-    ExpectSameResponses(mega_pq, comp_pq, ctx + " overflow per-query");
-    EXPECT_EQ(mega_pos, comp_pos) << ctx;
+    const Observed got = ExpectBatchMatchesStreaming(make, 9090, calls, ctx);
     // Dense positives: far more than the hit cache can hold per chunk.
-    EXPECT_GT(mega_pos, static_cast<int64_t>(BatchRunner::kChunkSize / 16))
+    EXPECT_GT(got.positives, static_cast<int>(BatchRunner::kChunkSize / 16))
         << ctx;
-    EXPECT_EQ(mega_stats.tier2_fused_segments, comp_stats.tier2_fused_segments)
-        << ctx;
-    EXPECT_EQ(mega_stats.tier2_spans_skipped, comp_stats.tier2_spans_skipped)
-        << ctx;
-    EXPECT_EQ(mega_stats.mega_words_skipped_q, comp_stats.mega_words_skipped_q)
-        << ctx;
-    EXPECT_EQ(mega_stats.replay_rederivations, comp_stats.replay_rederivations)
-        << ctx;
-    EXPECT_GT(mega_stats.replay_rederivations, 0) << ctx;
-    EXPECT_GT(mega_stats.mega_words_skipped_q, 0) << ctx;
+    EXPECT_GT(got.stats.replay_rederivations, 0) << ctx;
+    EXPECT_GT(got.stats.mega_words_skipped_q, 0) << ctx;
+    if (!first_stats.has_value()) {
+      first_stats = got.stats;
+    } else {
+      ExpectSameStats(got.stats, *first_stats, ctx);
+    }
   }
 }
 
@@ -1129,28 +1056,6 @@ TEST(BatchRunnerTest, TinyAndOddSizedBatchesMatchStreaming) {
 
 // --- word-free tier 1: chunks jumped without generating their ν words ---
 
-// Every BatchRunStats counter must agree between runs that differ only in
-// dispatch level or kernel mode.
-void ExpectSameStats(const BatchRunStats& a, const BatchRunStats& b,
-                     const std::string& ctx) {
-  EXPECT_EQ(a.tier1_chunks_skipped, b.tier1_chunks_skipped) << ctx;
-  EXPECT_EQ(a.tier1_chunks_jumped, b.tier1_chunks_jumped) << ctx;
-  EXPECT_EQ(a.tier2_chunks_scanned, b.tier2_chunks_scanned) << ctx;
-  EXPECT_EQ(a.tier2_fused_segments, b.tier2_fused_segments) << ctx;
-  EXPECT_EQ(a.tier2_spans_skipped, b.tier2_spans_skipped) << ctx;
-  EXPECT_EQ(a.tier2_fused_subblocks, b.tier2_fused_subblocks) << ctx;
-  EXPECT_EQ(a.bound_spans_pruned_q, b.bound_spans_pruned_q) << ctx;
-  EXPECT_EQ(a.bound_bytes_touched, b.bound_bytes_touched) << ctx;
-  EXPECT_EQ(a.mega_words_skipped_q, b.mega_words_skipped_q) << ctx;
-  EXPECT_EQ(a.replay_rederivations, b.replay_rederivations) << ctx;
-}
-
-void ExpectSameState(const Rng::State& a, const Rng::State& b,
-                     const std::string& ctx) {
-  EXPECT_EQ(a.phase, b.phase) << ctx;
-  EXPECT_EQ(a.words, b.words) << ctx;
-}
-
 // Answers laid out chunk by chunk, in units of the ν scale:
 //   F  far below: no draw can reach the bar, so the chunk is jumped;
 //   M  -20 scales: out of reach of the chunk's actual words (word-reading
@@ -1183,25 +1088,7 @@ std::vector<double> ChunkLayout(const std::string& layout, size_t tail,
   return answers;
 }
 
-// Resampling (ρ redrawn after every positive) mechanisms of either ν kind.
-std::unique_ptr<SpecDrivenSvt> MakeResamplingMechanism(NoiseKind nu_kind,
-                                                       int cutoff, Rng* rng) {
-  if (nu_kind == NoiseKind::kExponential) {
-    VariantSpec spec = AllExponentialSpec();
-    spec.cutoff = cutoff;
-    spec.resample_rho_after_positive = true;
-    spec.rho_resample_scale = 1.0;
-    return std::make_unique<CustomSvt>(spec, rng);
-  }
-  SvtOptions o;
-  o.epsilon = 0.5;
-  o.cutoff = cutoff;
-  o.resample_threshold_noise = true;
-  return SparseVector::Create(o, rng).value();
-}
-
-class WordFreeTier1 : public ::testing::TestWithParam<
-                          std::tuple<NoiseKind, BatchKernelMode>> {};
+class WordFreeTier1 : public ::testing::TestWithParam<NoiseKind> {};
 
 TEST_P(WordFreeTier1, JumpedChunksMatchStreaming) {
   // Runs of far-below chunks (jumped: their words are owed and settled by
@@ -1210,9 +1097,8 @@ TEST_P(WordFreeTier1, JumpedChunksMatchStreaming) {
   // run's draws. Responses and the ν substream position must equal the
   // streaming loop's after every run; the counters are exact and equal at
   // every dispatch level.
-  const auto [nu_kind, mode] = GetParam();
+  const NoiseKind nu_kind = GetParam();
   ScopedDispatchLevel restore_level;
-  ScopedBatchKernelMode restore_mode(mode);
   const std::string kind = nu_kind == NoiseKind::kExponential ? "exp" : "lap";
 
   std::optional<BatchRunStats> first_stats;
@@ -1220,8 +1106,8 @@ TEST_P(WordFreeTier1, JumpedChunksMatchStreaming) {
     if (!vec::SetDispatchLevel(level)) continue;
     const std::string ctx = kind + " " + vec::DispatchLevelName(level);
     Rng rng_batch(2029), rng_stream(2029);
-    auto batch = MakeResamplingMechanism(nu_kind, 1000, &rng_batch);
-    auto stream = MakeResamplingMechanism(nu_kind, 1000, &rng_stream);
+    auto batch = MakeSvt(nu_kind, &rng_batch, /*resample=*/true, 0.5, 1000);
+    auto stream = MakeSvt(nu_kind, &rng_stream, /*resample=*/true, 0.5, 1000);
     const double nu = batch->spec().nu_scale;
     // Ends on a partial far chunk (never jumped: shorter than a chunk),
     // then on jumped chunks (settled only when the run returns).
@@ -1263,9 +1149,8 @@ TEST_P(WordFreeTier1, CutoffInTheFirstChunkAfterAJumpedRun) {
   // answers. After a cutoff abort the batch leaves the substream at the
   // end of the exhausting chunk (every chunk that draws consumes all its
   // words), i.e. the streaming position plus the chunk's unread rest.
-  const auto [nu_kind, mode] = GetParam();
+  const NoiseKind nu_kind = GetParam();
   ScopedDispatchLevel restore_level;
-  ScopedBatchKernelMode restore_mode(mode);
   const std::string kind = nu_kind == NoiseKind::kExponential ? "exp" : "lap";
   const size_t wpv = nu_kind == NoiseKind::kExponential ? 1 : 2;
 
@@ -1274,8 +1159,8 @@ TEST_P(WordFreeTier1, CutoffInTheFirstChunkAfterAJumpedRun) {
     if (!vec::SetDispatchLevel(level)) continue;
     const std::string ctx = kind + " " + vec::DispatchLevelName(level);
     Rng rng_batch(88), rng_stream(88);
-    auto batch = MakeResamplingMechanism(nu_kind, 3, &rng_batch);
-    auto stream = MakeResamplingMechanism(nu_kind, 3, &rng_stream);
+    auto batch = MakeSvt(nu_kind, &rng_batch, /*resample=*/true, 0.5, 3);
+    auto stream = MakeSvt(nu_kind, &rng_stream, /*resample=*/true, 0.5, 3);
     const std::vector<double> answers =
         ChunkLayout("FFFHF", 5, batch->spec().nu_scale);
     const std::vector<Response> got = batch->Run(answers, 0.0);
@@ -1335,12 +1220,9 @@ TEST(BatchRunnerTest, BottomDominatedMillionJumpsEveryChunk) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    NoiseKindsAndKernelModes, WordFreeTier1,
-    ::testing::Combine(::testing::Values(NoiseKind::kLaplace,
-                                         NoiseKind::kExponential),
-                       ::testing::Values(BatchKernelMode::kMegakernel,
-                                         BatchKernelMode::kComposition)));
+INSTANTIATE_TEST_SUITE_P(NoiseKinds, WordFreeTier1,
+                         ::testing::Values(NoiseKind::kLaplace,
+                                           NoiseKind::kExponential));
 
 }  // namespace
 }  // namespace svt

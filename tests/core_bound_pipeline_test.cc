@@ -8,7 +8,7 @@
 //      keeps, and
 //   2. codes are bound-only — so engine output is bit-identical with the
 //      prefilter attached, absent, or disabled, at every dispatch level,
-//      in both kernel modes, for both noise kinds.
+//      for both noise kinds.
 // This file attacks both with adversarial value sets: subnormals,
 // near-threshold ties, max-magnitude deltas, infinities, and (at the
 // prefilter unit level, where no NaN-unaware vector reduction is in the
@@ -285,16 +285,14 @@ void ExpectSameTierCounters(const BatchRunStats& a, const BatchRunStats& b,
   EXPECT_EQ(a.tier2_chunks_scanned, b.tier2_chunks_scanned) << context;
   EXPECT_EQ(a.tier2_spans_skipped, b.tier2_spans_skipped) << context;
   EXPECT_EQ(a.tier2_fused_segments, b.tier2_fused_segments) << context;
-  EXPECT_EQ(a.tier2_fused_subblocks, b.tier2_fused_subblocks) << context;
   EXPECT_EQ(a.bound_spans_pruned_q, b.bound_spans_pruned_q) << context;
   EXPECT_EQ(a.bound_bytes_touched, b.bound_bytes_touched) << context;
 }
 
 TEST(BoundPipelineEngineTest, CommonThresholdPrefilterIsOutputNeutral) {
   // Prefilter attached vs absent vs gate-disabled: bit-identical output at
-  // every dispatch level, in both kernel modes, for both noise kinds. And
-  // within each prefilter setting, all seven counters are dispatch- and
-  // mode-independent.
+  // every dispatch level, for both noise kinds. And within each prefilter
+  // setting, all six counters are dispatch-independent.
   ScopedDispatchLevel restore_level;
   ScopedPrefilterGate restore_gate;
   const size_t n = 3 * BatchRunner::kChunkSize + 321;
@@ -310,51 +308,46 @@ TEST(BoundPipelineEngineTest, CommonThresholdPrefilterIsOutputNeutral) {
     EngineRun reference;      // plain run, scalar megakernel
     EngineRun quant_baseline; // prefiltered run, scalar megakernel
     bool have_reference = false;
-    for (BatchKernelMode mode :
-         {BatchKernelMode::kMegakernel, BatchKernelMode::kComposition}) {
-      SetBatchKernelMode(mode);
-      for (vec::DispatchLevel level :
-           {vec::DispatchLevel::kScalar, vec::DispatchLevel::kAvx2,
-            vec::DispatchLevel::kAvx512}) {
-        if (!vec::SetDispatchLevel(level)) continue;
-        const std::string ctx =
-            std::string(nu_kind == NoiseKind::kLaplace ? "lap" : "exp") +
-            " mode=" + (mode == BatchKernelMode::kMegakernel ? "mega" : "comp") +
-            " level=" + vec::DispatchLevelName(level);
+    for (vec::DispatchLevel level :
+         {vec::DispatchLevel::kScalar, vec::DispatchLevel::kAvx2,
+          vec::DispatchLevel::kAvx512}) {
+      if (!vec::SetDispatchLevel(level)) continue;
+      const std::string ctx =
+          std::string(nu_kind == NoiseKind::kLaplace ? "lap" : "exp") +
+          " level=" + vec::DispatchLevelName(level);
 
-        SetBoundPrefilterEnabled(true);
-        const EngineRun plain = RunCommon(o, answers, nullptr, 21);
-        const EngineRun quant = RunCommon(o, answers, &pf, 21);
-        SetBoundPrefilterEnabled(false);
-        const EngineRun gated = RunCommon(o, answers, &pf, 21);
-        SetBoundPrefilterEnabled(true);
+      SetBoundPrefilterEnabled(true);
+      const EngineRun plain = RunCommon(o, answers, nullptr, 21);
+      const EngineRun quant = RunCommon(o, answers, &pf, 21);
+      SetBoundPrefilterEnabled(false);
+      const EngineRun gated = RunCommon(o, answers, &pf, 21);
+      SetBoundPrefilterEnabled(true);
 
-        ExpectSameResponses(quant.responses, plain.responses, ctx + " quant");
-        ExpectSameResponses(gated.responses, plain.responses, ctx + " gated");
-        // The disabled gate is full precision end to end.
-        ExpectSameTierCounters(gated.stats, plain.stats, ctx + " gated");
+      ExpectSameResponses(quant.responses, plain.responses, ctx + " quant");
+      ExpectSameResponses(gated.responses, plain.responses, ctx + " gated");
+      // The disabled gate is full precision end to end.
+      ExpectSameTierCounters(gated.stats, plain.stats, ctx + " gated");
 
-        if (!have_reference) {
-          reference = plain;
-          quant_baseline = quant;
-          have_reference = true;
-        } else {
-          ExpectSameResponses(plain.responses, reference.responses,
-                              ctx + " cross");
-          ExpectSameTierCounters(plain.stats, reference.stats, ctx + " plain");
-          ExpectSameTierCounters(quant.stats, quant_baseline.stats,
-                                 ctx + " quant");
-        }
-        // Prefilter engaged: quantized prunes happen and are flagged; the
-        // plain run flags none.
-        EXPECT_GT(quant.stats.bound_spans_pruned_q, 0) << ctx;
-        EXPECT_EQ(plain.stats.bound_spans_pruned_q, 0) << ctx;
-        EXPECT_GT(quant.stats.tier2_spans_skipped, 0) << ctx;
-        // The quantized bound pass reads 1-2 bytes/element instead of 8.
-        EXPECT_GE(plain.stats.bound_bytes_touched,
-                  4 * quant.stats.bound_bytes_touched)
-            << ctx;
+      if (!have_reference) {
+        reference = plain;
+        quant_baseline = quant;
+        have_reference = true;
+      } else {
+        ExpectSameResponses(plain.responses, reference.responses,
+                            ctx + " cross");
+        ExpectSameTierCounters(plain.stats, reference.stats, ctx + " plain");
+        ExpectSameTierCounters(quant.stats, quant_baseline.stats,
+                               ctx + " quant");
       }
+      // Prefilter engaged: quantized prunes happen and are flagged; the
+      // plain run flags none.
+      EXPECT_GT(quant.stats.bound_spans_pruned_q, 0) << ctx;
+      EXPECT_EQ(plain.stats.bound_spans_pruned_q, 0) << ctx;
+      EXPECT_GT(quant.stats.tier2_spans_skipped, 0) << ctx;
+      // The quantized bound pass reads 1-2 bytes/element instead of 8.
+      EXPECT_GE(plain.stats.bound_bytes_touched,
+                4 * quant.stats.bound_bytes_touched)
+          << ctx;
     }
   }
 }
@@ -362,7 +355,7 @@ TEST(BoundPipelineEngineTest, CommonThresholdPrefilterIsOutputNeutral) {
 TEST(BoundPipelineEngineTest, PerQueryPrefilterIsOutputNeutral) {
   // The per-query path's new span bound: responses must stay bit-identical
   // to streaming semantics with the prefilter attached, absent, or gated
-  // off, across dispatch levels, modes, and noise kinds — and the bound
+  // off, across dispatch levels and noise kinds — and the bound
   // must actually prune (tier2_spans_skipped > 0) on a workload with
   // far-below stretches.
   ScopedDispatchLevel restore_level;
@@ -391,47 +384,42 @@ TEST(BoundPipelineEngineTest, PerQueryPrefilterIsOutputNeutral) {
 
     EngineRun reference, quant_baseline;
     bool have_reference = false;
-    for (BatchKernelMode mode :
-         {BatchKernelMode::kMegakernel, BatchKernelMode::kComposition}) {
-      SetBatchKernelMode(mode);
-      for (vec::DispatchLevel level :
-           {vec::DispatchLevel::kScalar, vec::DispatchLevel::kAvx2,
-            vec::DispatchLevel::kAvx512}) {
-        if (!vec::SetDispatchLevel(level)) continue;
-        const std::string ctx =
-            std::string(nu_kind == NoiseKind::kLaplace ? "lap" : "exp") +
-            " mode=" + (mode == BatchKernelMode::kMegakernel ? "mega" : "comp") +
-            " level=" + vec::DispatchLevelName(level) + " per-query";
+    for (vec::DispatchLevel level :
+         {vec::DispatchLevel::kScalar, vec::DispatchLevel::kAvx2,
+          vec::DispatchLevel::kAvx512}) {
+      if (!vec::SetDispatchLevel(level)) continue;
+      const std::string ctx =
+          std::string(nu_kind == NoiseKind::kLaplace ? "lap" : "exp") +
+          " level=" + vec::DispatchLevelName(level) + " per-query";
 
-        SetBoundPrefilterEnabled(true);
-        const EngineRun plain = RunPerQuery(o, answers, thresholds, nullptr, 4);
-        const EngineRun quant = RunPerQuery(o, answers, thresholds, &pf, 4);
-        SetBoundPrefilterEnabled(false);
-        const EngineRun gated = RunPerQuery(o, answers, thresholds, &pf, 4);
-        SetBoundPrefilterEnabled(true);
+      SetBoundPrefilterEnabled(true);
+      const EngineRun plain = RunPerQuery(o, answers, thresholds, nullptr, 4);
+      const EngineRun quant = RunPerQuery(o, answers, thresholds, &pf, 4);
+      SetBoundPrefilterEnabled(false);
+      const EngineRun gated = RunPerQuery(o, answers, thresholds, &pf, 4);
+      SetBoundPrefilterEnabled(true);
 
-        ExpectSameResponses(quant.responses, plain.responses, ctx + " quant");
-        ExpectSameResponses(gated.responses, plain.responses, ctx + " gated");
-        ExpectSameTierCounters(gated.stats, plain.stats, ctx + " gated");
+      ExpectSameResponses(quant.responses, plain.responses, ctx + " quant");
+      ExpectSameResponses(gated.responses, plain.responses, ctx + " gated");
+      ExpectSameTierCounters(gated.stats, plain.stats, ctx + " gated");
 
-        if (!have_reference) {
-          reference = plain;
-          quant_baseline = quant;
-          have_reference = true;
-        } else {
-          ExpectSameResponses(plain.responses, reference.responses,
-                              ctx + " cross");
-          ExpectSameTierCounters(plain.stats, reference.stats, ctx + " plain");
-          ExpectSameTierCounters(quant.stats, quant_baseline.stats,
-                                 ctx + " quant");
-        }
-        // The satellite: per-query spans are actually bounded now.
-        EXPECT_GT(plain.stats.tier2_spans_skipped, 0) << ctx;
-        EXPECT_GT(quant.stats.bound_spans_pruned_q, 0) << ctx;
-        EXPECT_GE(plain.stats.bound_bytes_touched,
-                  4 * quant.stats.bound_bytes_touched)
-            << ctx;
+      if (!have_reference) {
+        reference = plain;
+        quant_baseline = quant;
+        have_reference = true;
+      } else {
+        ExpectSameResponses(plain.responses, reference.responses,
+                            ctx + " cross");
+        ExpectSameTierCounters(plain.stats, reference.stats, ctx + " plain");
+        ExpectSameTierCounters(quant.stats, quant_baseline.stats,
+                               ctx + " quant");
       }
+      // The satellite: per-query spans are actually bounded now.
+      EXPECT_GT(plain.stats.tier2_spans_skipped, 0) << ctx;
+      EXPECT_GT(quant.stats.bound_spans_pruned_q, 0) << ctx;
+      EXPECT_GE(plain.stats.bound_bytes_touched,
+                4 * quant.stats.bound_bytes_touched)
+          << ctx;
     }
   }
 }
