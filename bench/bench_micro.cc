@@ -20,7 +20,6 @@
 #include "core/svt.h"
 #include "core/svt_retraversal.h"
 #include "core/svt_variants.h"
-#include "data/bound_prefilter.h"
 #include "data/fpgrowth.h"
 #include "data/generators.h"
 
@@ -184,80 +183,9 @@ void BM_SvtRunBatchNearThreshold(benchmark::State& state) {
 // 65536 queries keep the answers and outputs L1/L2 resident.
 BENCHMARK(BM_SvtRunBatchNearThreshold)->Arg(1 << 20)->Arg(65536);
 
-void BM_SvtRunBatchNearThresholdPrefiltered(benchmark::State& state) {
-  // Paired arm of BM_SvtRunBatchNearThreshold: identical workload and
-  // stream, with the quantized bound prefilter attached (built once,
-  // outside the timed region — it is a property of the score vector, not
-  // of the run). The exported counters are the in-process A/B the
-  // two-level prefilter is judged by: bound_mb_per_iter against the
-  // unprefiltered arm's 8-bytes-per-element pass, and prune_rate as the
-  // fraction of span visits the quantized level discharged.
-  Rng rng(5);
-  SvtOptions o;
-  o.epsilon = 0.1;
-  o.cutoff = 1 << 20;
-  o.monotonic = true;
-  auto mech = SparseVector::Create(o, &rng).value();
-  const double nu_scale = mech->query_noise_scale();
-  std::vector<double> answers(static_cast<size_t>(state.range(0)));
-  Rng gen(7);
-  for (double& a : answers) {
-    a = (-6.0 + (gen.NextDouble() - 0.5)) * nu_scale;
-  }
-  const BoundPrefilter prefilter = BoundPrefilter::Build(answers);
-  std::vector<Response> out;
-  for (auto _ : state) {
-    mech->Reset();
-    out.clear();
-    mech->RunAppend(answers, 0.0, &prefilter, &out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-  // Reset() zeroes the counters, so batch_stats() holds exactly the last
-  // iteration's run — per-iteration numbers with no division by count.
-  const BatchRunStats& st = mech->batch_stats();
-  state.counters["bound_mb_per_iter"] =
-      static_cast<double>(st.bound_bytes_touched) / (1024.0 * 1024.0);
-  const double span_visits = static_cast<double>(
-      st.tier2_spans_skipped + st.tier2_fused_segments);
-  state.counters["prune_rate"] =
-      span_visits > 0.0
-          ? static_cast<double>(st.bound_spans_pruned_q) / span_visits
-          : 0.0;
-  state.SetLabel(vec::DispatchLevelName(vec::ActiveDispatchLevel()));
-}
-BENCHMARK(BM_SvtRunBatchNearThresholdPrefiltered)->Arg(1 << 20)->Arg(65536);
-
-void BM_QuantizedSpanBound(benchmark::State& state) {
-  // The quantized span reduction in isolation: QuantizedSpanMax over
-  // kBoundSpan-sized uint16 code spans (the generic width; uint8 halves
-  // the traffic again). Pair with BM_FullPrecisionSpanBound on the same
-  // element count for the raw bound-pass traffic ratio.
-  const size_t n = static_cast<size_t>(state.range(0));
-  std::vector<uint16_t> codes(n);
-  Rng gen(9);
-  for (uint16_t& c : codes) {
-    c = static_cast<uint16_t>(gen.NextUint64() & 0xffff);
-  }
-  uint16_t acc = 0;
-  for (auto _ : state) {
-    for (size_t s = 0; s < n; s += BatchRunner::kBoundSpan) {
-      acc = std::max(
-          acc, vec::QuantizedSpanMax({codes.data() + s,
-                                      BatchRunner::kBoundSpan}));
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<int64_t>(n * sizeof(uint16_t)));
-  state.SetLabel(vec::DispatchLevelName(vec::ActiveDispatchLevel()));
-}
-BENCHMARK(BM_QuantizedSpanBound)->Arg(1 << 20);
-
 void BM_FullPrecisionSpanBound(benchmark::State& state) {
-  // The pre-refactor bound pass: vec::MaxBlock over the same spans at 8
-  // bytes per element.
+  // The bound pass in isolation: vec::MaxBlock over kBoundSpan-sized
+  // spans at 8 bytes per element.
   const size_t n = static_cast<size_t>(state.range(0));
   std::vector<double> a(n);
   Rng gen(9);

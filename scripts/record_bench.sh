@@ -57,11 +57,9 @@ trap 'rm -f "$tmp"' EXIT
 
 # run_arm <binary> <filter> <name-suffix>: one bench invocation, appending
 # "name metric value" lines to $tmp — items/sec (unit-expanded) always,
-# plus the diagnostic counters some benchmarks export: prune_rate
-# (BM_SvtRunBatchNearThresholdPrefiltered: fraction of tier-2 span visits
-# the quantized bound level discharged) and words_skipped_frac
-# (BM_SvtRunBatchPerQueryNearThreshold*: fraction of per-query elements
-# whose transform the span skip words discharged).
+# plus the words_skipped_frac counter BM_SvtRunBatchPerQueryNearThreshold*
+# exports (fraction of per-query elements whose transform the span skip
+# words discharged).
 run_arm() {
   "$1" --benchmark_filter="$2" --benchmark_min_time="$(min_time_arg "$1")" \
     2>/dev/null |
@@ -75,7 +73,7 @@ run_arm() {
       else if (v ~ /k\/s$/) mult = 1e3
       sub(/[GMk]?\/s$/, "", v)
       printf "%s%s items_per_second %.6e\n", $1, suffix, v * mult
-      for (f = 1; f <= NF; ++f) if ($f ~ /^(prune_rate|words_skipped_frac)=/) {
+      for (f = 1; f <= NF; ++f) if ($f ~ /^words_skipped_frac=/) {
         p = $f
         key = $f
         sub(/=.*/, "", key)

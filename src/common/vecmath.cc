@@ -1,19 +1,13 @@
 // Implementation notes
 // --------------------
-// Both kernels are the classic fdlibm reductions with the polynomial
-// evaluated in one fixed Horner order:
+// Log is the classic fdlibm reduction with the polynomial evaluated in one
+// fixed Horner order:
 //
 //   Log: decompose x = 2^k * m with m in [sqrt(1/2), sqrt(2)) by integer
 //   bit manipulation (exact), then with s = f/(2+f), f = m-1:
 //     log(m) = f - (hfsq - s*(hfsq + R(s^2))),  R a degree-7 minimax poly,
 //   recombined with k*ln2 in hi/lo parts. Subnormals are prescaled by
 //   2^54 (exact) first.
-//
-//   Exp: k = round(x/ln2) via the 1.5*2^52 magic-add (exact for |x| in
-//   range), r = (x - k*ln2_hi) - k*ln2_lo, then fdlibm's rational form
-//     exp(r) = 1 - ((lo - r*c/(2-c)) - hi),  c = r - r^2*P(r^2),
-//   scaled by 2^k as two exact power-of-two multiplies (k split in halves)
-//   so deep underflow rounds once, into the subnormal range, correctly.
 //
 // The AVX2 and AVX-512 lanes mirror the scalar lane operation for
 // operation: every step is a correctly-rounded IEEE double op (+ - * /) or
@@ -22,7 +16,7 @@
 // lane, set in CMakeLists.txt). Lanes holding operands outside Log's fast
 // path domain (zero/subnormal/negative/non-finite) are patched with the
 // scalar kernel after the vector store, so every special case has exactly
-// one implementation. Exp has only the scalar lane. The AVX-512 lane
+// one implementation. The AVX-512 lane
 // additionally uses the exact integer<->double conversions AVX-512DQ
 // provides (cvtepu64_pd / cvtepi64_pd / cvtpd_epi64) where the AVX2 lane
 // rebuilds them from 32-bit halves — both are exact for the magnitudes
@@ -103,24 +97,6 @@ constexpr double kQ17 = -0x1.a4f2cb642aed7p-5;
 constexpr double kQ18 = 0x1.e4de09bbb15acp-5;
 constexpr double kQ19 = -0x1.ba0db7c5ec460p-5;
 constexpr double kQ20 = 0x1.7d29370356709p-6;
-
-// exp: c = r - r^2*(P1 + r^2*(P2 + ...)), |r| <= ln2/2.
-constexpr double kP1 = 0x1.5555555555553p-3;
-constexpr double kP2 = -0x1.6c16c16bebd93p-9;
-constexpr double kP3 = 0x1.1566aaf25de2cp-14;
-constexpr double kP4 = -0x1.bbd41c5d26bf1p-20;
-constexpr double kP5 = 0x1.6376972bea4d0p-25;
-constexpr double kLog2e = 0x1.71547652b82fep+0;
-// 1.5 * 2^52: adding and subtracting rounds to the nearest integer
-// (ties-to-even) for |t| < 2^51, entirely in double arithmetic.
-constexpr double kRoundMagic = 6755399441055744.0;
-// exp() overflows above this (largest x with exp(x) finite).
-constexpr double kExpOverflow = 709.782712893383973096;
-
-// 2^k for k in [-1022, 1023], built exactly from the exponent field.
-inline double Pow2(int64_t k) {
-  return std::bit_cast<double>(static_cast<uint64_t>(k + 1023) << 52);
-}
 
 // The SVT_MAX_DISPATCH cap, read once per process. Folded into
 // DispatchLevelSupported() below so a capped level is indistinguishable
@@ -299,31 +275,6 @@ __attribute__((noipa)) double Log(double x) {
   const double hfsq = (0.5 * f) * f;
   const double dk = static_cast<double>(k);
   return dk * kLn2Hi - ((hfsq - (x3r + dk * kLn2Lo)) - f);
-}
-
-double Exp(double x) {
-  // Outside these bounds the k-split scaling below would leave the double
-  // exponent range; the results are exactly +inf / 0 anyway.
-  if (std::isnan(x)) return x + x;
-  if (x > kExpOverflow) return std::numeric_limits<double>::infinity();
-  if (x < -1000.0) return 0.0;  // exp(-745.14) already underflows to 0
-
-  const double t = x * kLog2e;
-  const double kd = (t + kRoundMagic) - kRoundMagic;
-  const int64_t k = static_cast<int64_t>(kd);
-  const double hi = x - kd * kLn2Hi;
-  const double lo = kd * kLn2Lo;
-  const double r = hi - lo;
-  const double z = r * r;
-  const double c =
-      r - z * (kP1 + z * (kP2 + z * (kP3 + z * (kP4 + z * kP5))));
-  const double y = 1.0 - ((lo - (r * c) / (2.0 - c)) - hi);
-  // Scale by 2^k in two halves: the first multiply is exact (y ~ 1, k1
-  // never reaches the exponent limits), so the second rounds once —
-  // correctly — even when the final result is subnormal.
-  const int64_t k1 = k >> 1;
-  const int64_t k2 = k - k1;
-  return y * Pow2(k1) * Pow2(k2);
 }
 
 double NegLogUnitPositive(uint64_t word) {
@@ -827,12 +778,17 @@ __attribute__((target("avx2"))) void LaplaceTransformAvx2(
   }
 }
 
+// VMAXPD/VMINPD return their second operand when either operand is NaN,
+// so the accumulator goes second: a NaN element leaves its lane as it
+// was, and only a NaN in[0] (which seeds every lane) reaches the result —
+// the scalar std::max(m, x) loop's semantics (vecmath.h). The AVX-512
+// reductions below follow the same operand order.
 __attribute__((target("avx2"))) double MaxBlockAvx2(const double* in,
                                                     size_t n) {
   __m256d acc = _mm256_set1_pd(in[0]);
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    acc = _mm256_max_pd(acc, _mm256_loadu_pd(in + i));
+    acc = _mm256_max_pd(_mm256_loadu_pd(in + i), acc);
   }
   alignas(32) double lanes[4];
   _mm256_store_pd(lanes, acc);
@@ -847,80 +803,13 @@ __attribute__((target("avx2"))) double MinBlockAvx2(const double* in,
   __m256d acc = _mm256_set1_pd(in[0]);
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    acc = _mm256_min_pd(acc, _mm256_loadu_pd(in + i));
+    acc = _mm256_min_pd(_mm256_loadu_pd(in + i), acc);
   }
   alignas(32) double lanes[4];
   _mm256_store_pd(lanes, acc);
   double m = std::min(std::min(lanes[0], lanes[1]),
                       std::min(lanes[2], lanes[3]));
   for (; i < n; ++i) m = std::min(m, in[i]);
-  return m;
-}
-
-// Quantized bound-code reductions: exact unsigned integer max/min, 16 (u16)
-// or 32 (u8) codes per 256-bit op. Association-free, so the accumulator
-// seeding with codes[0] (the MaxBlock idiom above) is harmless.
-__attribute__((target("avx2"))) uint16_t QuantizedSpanMaxU16Avx2(
-    const uint16_t* codes, size_t n) {
-  __m256i acc = _mm256_set1_epi16(static_cast<short>(codes[0]));
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    acc = _mm256_max_epu16(
-        acc, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(codes + i)));
-  }
-  alignas(32) uint16_t lanes[16];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  uint16_t m = lanes[0];
-  for (int lane = 1; lane < 16; ++lane) m = std::max(m, lanes[lane]);
-  for (; i < n; ++i) m = std::max(m, codes[i]);
-  return m;
-}
-
-__attribute__((target("avx2"))) uint16_t QuantizedSpanMinU16Avx2(
-    const uint16_t* codes, size_t n) {
-  __m256i acc = _mm256_set1_epi16(static_cast<short>(codes[0]));
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    acc = _mm256_min_epu16(
-        acc, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(codes + i)));
-  }
-  alignas(32) uint16_t lanes[16];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  uint16_t m = lanes[0];
-  for (int lane = 1; lane < 16; ++lane) m = std::min(m, lanes[lane]);
-  for (; i < n; ++i) m = std::min(m, codes[i]);
-  return m;
-}
-
-__attribute__((target("avx2"))) uint8_t QuantizedSpanMaxU8Avx2(
-    const uint8_t* codes, size_t n) {
-  __m256i acc = _mm256_set1_epi8(static_cast<char>(codes[0]));
-  size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    acc = _mm256_max_epu8(
-        acc, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(codes + i)));
-  }
-  alignas(32) uint8_t lanes[32];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  uint8_t m = lanes[0];
-  for (int lane = 1; lane < 32; ++lane) m = std::max(m, lanes[lane]);
-  for (; i < n; ++i) m = std::max(m, codes[i]);
-  return m;
-}
-
-__attribute__((target("avx2"))) uint8_t QuantizedSpanMinU8Avx2(
-    const uint8_t* codes, size_t n) {
-  __m256i acc = _mm256_set1_epi8(static_cast<char>(codes[0]));
-  size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    acc = _mm256_min_epu8(
-        acc, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(codes + i)));
-  }
-  alignas(32) uint8_t lanes[32];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  uint8_t m = lanes[0];
-  for (int lane = 1; lane < 32; ++lane) m = std::min(m, lanes[lane]);
-  for (; i < n; ++i) m = std::min(m, codes[i]);
   return m;
 }
 
@@ -1817,7 +1706,7 @@ __attribute__((target("avx512f,avx512dq"))) double MaxBlockAvx512(
   __m512d acc = _mm512_set1_pd(in[0]);
   size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    acc = _mm512_max_pd(acc, _mm512_loadu_pd(in + i));
+    acc = _mm512_max_pd(_mm512_loadu_pd(in + i), acc);
   }
   alignas(64) double lanes[8];
   _mm512_store_pd(lanes, acc);
@@ -1832,7 +1721,7 @@ __attribute__((target("avx512f,avx512dq"))) double MinBlockAvx512(
   __m512d acc = _mm512_set1_pd(in[0]);
   size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    acc = _mm512_min_pd(acc, _mm512_loadu_pd(in + i));
+    acc = _mm512_min_pd(_mm512_loadu_pd(in + i), acc);
   }
   alignas(64) double lanes[8];
   _mm512_store_pd(lanes, acc);
@@ -2663,58 +2552,6 @@ double MinBlock(std::span<const double> in) {
 #endif
   double m = in[0];
   for (double x : in) m = std::min(m, x);
-  return m;
-}
-
-// The quantized reductions dispatch the AVX2 lane at every SIMD level:
-// 512-bit byte/word max needs AVX-512BW (outside the library's F+DQ+VL
-// gate), and the reduction is exact at any width, so the AVX-512 level
-// simply reuses the 256-bit lane (see vecmath.h).
-uint16_t QuantizedSpanMax(std::span<const uint16_t> codes) {
-  SVT_CHECK(!codes.empty()) << "QuantizedSpanMax requires an element";
-#if SVT_VECMATH_HAVE_AVX2
-  if (ActiveDispatchLevel() >= DispatchLevel::kAvx2) {
-    return QuantizedSpanMaxU16Avx2(codes.data(), codes.size());
-  }
-#endif
-  uint16_t m = codes[0];
-  for (uint16_t c : codes) m = std::max(m, c);
-  return m;
-}
-
-uint16_t QuantizedSpanMin(std::span<const uint16_t> codes) {
-  SVT_CHECK(!codes.empty()) << "QuantizedSpanMin requires an element";
-#if SVT_VECMATH_HAVE_AVX2
-  if (ActiveDispatchLevel() >= DispatchLevel::kAvx2) {
-    return QuantizedSpanMinU16Avx2(codes.data(), codes.size());
-  }
-#endif
-  uint16_t m = codes[0];
-  for (uint16_t c : codes) m = std::min(m, c);
-  return m;
-}
-
-uint8_t QuantizedSpanMax(std::span<const uint8_t> codes) {
-  SVT_CHECK(!codes.empty()) << "QuantizedSpanMax requires an element";
-#if SVT_VECMATH_HAVE_AVX2
-  if (ActiveDispatchLevel() >= DispatchLevel::kAvx2) {
-    return QuantizedSpanMaxU8Avx2(codes.data(), codes.size());
-  }
-#endif
-  uint8_t m = codes[0];
-  for (uint8_t c : codes) m = std::max(m, c);
-  return m;
-}
-
-uint8_t QuantizedSpanMin(std::span<const uint8_t> codes) {
-  SVT_CHECK(!codes.empty()) << "QuantizedSpanMin requires an element";
-#if SVT_VECMATH_HAVE_AVX2
-  if (ActiveDispatchLevel() >= DispatchLevel::kAvx2) {
-    return QuantizedSpanMinU8Avx2(codes.data(), codes.size());
-  }
-#endif
-  uint8_t m = codes[0];
-  for (uint8_t c : codes) m = std::min(m, c);
   return m;
 }
 

@@ -7,7 +7,7 @@
 // and every ν must be materialized. This layer replaces libm on the
 // sampling side with a fixed polynomial kernel that exists in three lanes:
 //
-//   * a scalar reference (Log/Exp below),
+//   * a scalar reference (Log below),
 //   * an AVX2 4-wide implementation, and
 //   * an AVX-512 8-wide implementation (AVX-512F+DQ+VL),
 //
@@ -99,10 +99,6 @@ bool SetDispatchLevel(DispatchLevel level);
 /// NaN, +inf → +inf, NaN → NaN, subnormals exact via prescaling.
 double Log(double x);
 
-/// Natural exponential, scalar reference lane. Full domain: overflows to
-/// +inf, underflows through the subnormal range to 0, NaN → NaN.
-double Exp(double x);
-
 /// The scalar word→exponential-magnitude map behind every draw in the
 /// library: -Log(u) where u is `word` on the (0, 1] 53-bit lattice exactly
 /// as Rng::ToUnitDoublePositive. This is the single-element form of
@@ -152,40 +148,19 @@ void LaplaceTransformBlock(std::span<const std::uint64_t> words, double mu,
 void ExponentialTransformBlock(std::span<const std::uint64_t> words, double b,
                                std::span<double> out);
 
-/// Reduction: max over in (in.size() >= 1), dispatched. Exact and
-/// association-independent when no element is NaN (the tier-1 bound's
-/// input); with NaNs the result is unspecified — some levels drop them —
-/// so callers must already be conservative under NaN (the chunk bound is:
-/// a NaN max fails its comparison and falls through to the exact scan).
+/// Reduction: max over in (in.size() >= 1), dispatched, with the scalar
+/// `m = in[0]; m = std::max(m, x)` loop's NaN semantics at every level:
+/// a NaN in[0] makes the result NaN; any other NaN element is skipped.
+/// Otherwise the result is the exact maximum of the non-NaN elements,
+/// association-independent (up to the sign of a zero result). The bound
+/// pipeline relies on both halves: the NaN-free maximum bounds every
+/// non-NaN element, and a NaN bound fails every prune test.
 double MaxBlock(std::span<const double> in);
 
-/// Reduction: min over in (in.size() >= 1), dispatched. Same contract
-/// shape as MaxBlock: exact and association-independent when no element is
-/// NaN (the per-query bound's threshold-side input); with NaNs the result
-/// is unspecified — callers must already be conservative under NaN (the
-/// span bound is: a NaN-threshold element can never fire its positive
-/// test, so any lower bound over the remaining thresholds stays sound).
+/// Reduction: min over in (in.size() >= 1), dispatched. The mirror of
+/// MaxBlock: NaN iff in[0] is NaN, else the exact minimum of the non-NaN
+/// elements (the per-query bound's threshold-side input).
 double MinBlock(std::span<const double> in);
-
-// --- Quantized bound reductions -------------------------------------------
-//
-// Integer max/min over the quantized bound codes of the two-level bound
-// prefilter (data/bound_prefilter.h): the primary bound level reduces
-// uint8/uint16 codes instead of doubles, touching 4-8x less memory per
-// span. Unsigned integer max/min is exact and association-free, so every
-// lane returns the identical code — no rounding contract needed. The
-// AVX-512 dispatch level reuses the AVX2 lane: 512-bit byte/word max
-// needs AVX-512BW, which is outside the library's F+DQ+VL gate, and an
-// exact integer reduction gains nothing from a wider accumulator that
-// the 256-bit lane doesn't already deliver from L1/L2.
-
-/// Max over a span of quantized bound codes (codes.size() >= 1).
-std::uint8_t QuantizedSpanMax(std::span<const std::uint8_t> codes);
-std::uint16_t QuantizedSpanMax(std::span<const std::uint16_t> codes);
-
-/// Min over a span of quantized bound codes (codes.size() >= 1).
-std::uint8_t QuantizedSpanMin(std::span<const std::uint8_t> codes);
-std::uint16_t QuantizedSpanMin(std::span<const std::uint16_t> codes);
 
 /// Returns the smallest i with a[i] >= bar — the positive test of the
 /// batch engine's ν-free scan (variants without query noise) — or a.size()

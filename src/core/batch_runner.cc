@@ -8,7 +8,6 @@
 #include "common/distributions.h"
 #include "common/vecmath.h"
 #include "core/bound_pipeline.h"
-#include "data/bound_prefilter.h"
 
 namespace svt {
 
@@ -109,24 +108,6 @@ size_t BatchRunner::ScanChunk(const double* answers, size_t n,
 
 size_t BatchRunner::Run(std::span<const double> answers, double threshold,
                         std::vector<Response>* out) {
-  return Run(answers, threshold, /*prefilter=*/nullptr, out);
-}
-
-size_t BatchRunner::Run(std::span<const double> answers,
-                        std::span<const double> thresholds,
-                        std::vector<Response>* out) {
-  return Run(answers, thresholds, /*prefilter=*/nullptr, out);
-}
-
-size_t BatchRunner::Run(std::span<const double> answers, double threshold,
-                        const BoundPrefilter* prefilter,
-                        std::vector<Response>* out) {
-  if (prefilter != nullptr) {
-    SVT_CHECK(prefilter->size() == answers.size())
-        << "BoundPrefilter size " << prefilter->size()
-        << " does not match answers size " << answers.size()
-        << "; a prefilter may only attach to the arrays it was built over";
-  }
   const size_t start = out->size();
   if (state_->exhausted || answers.empty()) return 0;
   const size_t total = answers.size();
@@ -138,11 +119,8 @@ size_t BatchRunner::Run(std::span<const double> answers, double threshold,
   const bool has_nu = spec_.nu_scale > 0.0;
   // The single bound implementation: every skip decision below — tier-1
   // chunk test, tier-2 span tests, the megakernels' skip-word inputs —
-  // comes out of this pipeline (core/bound_pipeline.h), at the quantized
-  // level when a prefilter is attached and the gate is on, at full
-  // precision otherwise.
-  BoundPipeline pipe(has_nu ? prefilter : nullptr, spec_.nu_scale, kBoundSpan,
-                     &state_->batch);
+  // comes out of this pipeline (core/bound_pipeline.h).
+  BoundPipeline pipe(spec_.nu_scale, kBoundSpan, &state_->batch);
   const size_t wpv = WordsPerVariate(spec_.nu_kind);
   const bool exp_nu = spec_.nu_kind == NoiseKind::kExponential;
   // ν words of chunks the word-free tier-1 test discharged, not yet taken
@@ -156,7 +134,7 @@ size_t BatchRunner::Run(std::span<const double> answers, double threshold,
     const double* const a = answers.data() + done;
     size_t chunk_processed = n;
     if (has_nu) {
-      pipe.BeginChunk(a, /*thresholds=*/nullptr, done, n);
+      pipe.BeginChunk(a, /*thresholds=*/nullptr, n);
       // Word-free tier 1: a full chunk whose answers cannot reach the bar
       // even under the largest |ν| any draw can produce is all ⊥ whatever
       // its words are, so they are owed instead of generated. Calls
@@ -205,7 +183,7 @@ size_t BatchRunner::Run(std::span<const double> answers, double threshold,
       const double bar0 = threshold + state_->rho;
       // Any upper bound on the chunk's answers is a sound skip-word input
       // (vec::MegaSkipWordThreshold contract), so the pipeline's chunk
-      // upper — quantized or exact — feeds it directly.
+      // upper feeds it directly.
       const uint64_t chunk_skip = pipe.ChunkSkipWord(bar0);
       // When no sound chunk-wide word threshold exists (some answer is at
       // or above the bar), the fused scan would degenerate into a full
@@ -282,8 +260,8 @@ size_t BatchRunner::Run(std::span<const double> answers, double threshold,
             // span decisions replay the fallback's on the pipeline's
             // cached bounds (a span holding a surviving hit always
             // passes its bound — the bound chain dominates every
-            // computed test, quantized or exact — so the counters do not
-            // depend on which walk ran).
+            // computed test — so the counters do not depend on which walk
+            // ran).
             const auto next_hit =
                 [&](size_t lo, size_t hi) -> const vec::FusedScanHit* {
               for (size_t k = 0; k < found; ++k) {
@@ -399,20 +377,10 @@ size_t BatchRunner::Run(std::span<const double> answers, double threshold,
 
 size_t BatchRunner::Run(std::span<const double> answers,
                         std::span<const double> thresholds,
-                        const BoundPrefilter* prefilter,
                         std::vector<Response>* out) {
   SVT_CHECK(answers.size() == thresholds.size())
       << "answers/thresholds size mismatch: " << answers.size() << " vs "
       << thresholds.size();
-  if (prefilter != nullptr) {
-    SVT_CHECK(prefilter->size() == answers.size())
-        << "BoundPrefilter size " << prefilter->size()
-        << " does not match answers size " << answers.size()
-        << "; a prefilter may only attach to the arrays it was built over";
-    SVT_CHECK(prefilter->has_thresholds())
-        << "per-query-threshold runs need a prefilter built with the "
-           "two-array Build(answers, thresholds)";
-  }
   const size_t start = out->size();
   if (state_->exhausted || answers.empty()) return 0;
   const size_t total = answers.size();
@@ -427,8 +395,7 @@ size_t BatchRunner::Run(std::span<const double> answers,
   // the bar lower bounds every bar in the span (proof in
   // core/bound_pipeline.h). Before the pipeline this path had no bound at
   // all and scanned every element.
-  BoundPipeline pipe(has_nu ? prefilter : nullptr, spec_.nu_scale, kBoundSpan,
-                     &state_->batch);
+  BoundPipeline pipe(spec_.nu_scale, kBoundSpan, &state_->batch);
 
   size_t done = 0;
   while (done < total) {
@@ -449,7 +416,7 @@ size_t BatchRunner::Run(std::span<const double> answers,
       chunk_processed = ScanChunk(a, n, find_next, res + done);
     } else {
       // Lane-resident per-query tier-2. The pipeline's span plan (each
-      // span's answer-max paired with its bar-min, quantized or exact)
+      // span's answer-max paired with its bar-min)
       // yields a per-span skip-word *vector* at the chunk-entry ρ —
       // derivable before any words are drawn. When any span's word
       // threshold can discharge at all, the prepass is the fused pairwise
@@ -466,7 +433,7 @@ size_t BatchRunner::Run(std::span<const double> answers,
       // cutoff may never need, so only generate-and-bound runs — mirroring
       // the common arm's fused_scan gate.
       ++state_->batch.tier2_chunks_scanned;
-      pipe.BeginChunk(a, t, done, n);
+      pipe.BeginChunk(a, t, n);
       const double nu_scale = spec_.nu_scale;
       const size_t wpv = WordsPerVariate(spec_.nu_kind);
       const bool exp_nu = spec_.nu_kind == NoiseKind::kExponential;

@@ -39,10 +39,8 @@
 //
 // Every conservative skip decision above — tier-1 chunk tests, tier-2
 // span tests (common and per-query), and the megakernels' skip-word
-// inputs — is computed by a single BoundPipeline (core/bound_pipeline.h),
-// which optionally reads a quantized BoundPrefilter
-// (data/bound_prefilter.h) instead of the double arrays; the runner only
-// decides how surviving spans get scanned.
+// inputs — is computed by a single BoundPipeline (core/bound_pipeline.h);
+// the runner only decides how surviving spans get scanned.
 //
 // Which tier each chunk took is counted in SvtRunState::batch (exposed as
 // SpecDrivenSvt::batch_stats()) so tests and capacity planning can verify
@@ -101,18 +99,6 @@ class BatchRunner {
   /// tier-1 chunk bound enabled.
   size_t Run(std::span<const double> answers, double threshold,
              std::vector<Response>* out);
-
-  /// Prefiltered forms: `prefilter` (may be null) must be built over
-  /// exactly these answers (and, pairwise, thresholds) arrays — sizes are
-  /// checked. When attached and SVT_BOUND_PREFILTER is on, the
-  /// BoundPipeline's skip decisions read the quantized codes instead of
-  /// the doubles; responses, statistics beyond the bound counters, and
-  /// stream positions are bit-identical either way (core/svt.h contract).
-  size_t Run(std::span<const double> answers,
-             std::span<const double> thresholds,
-             const BoundPrefilter* prefilter, std::vector<Response>* out);
-  size_t Run(std::span<const double> answers, double threshold,
-             const BoundPrefilter* prefilter, std::vector<Response>* out);
 
  private:
   Response MakePositiveResponse(double answer, double nu_j);

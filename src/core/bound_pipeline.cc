@@ -24,23 +24,18 @@ constexpr double kBoundSlack = 1.0 + 1e-12;
 
 }  // namespace
 
-BoundPipeline::BoundPipeline(const BoundPrefilter* prefilter, double nu_scale,
-                             size_t span_elems, BatchRunStats* stats)
-    : prefilter_(prefilter),
-      nu_scale_(nu_scale),
-      span_elems_(span_elems),
-      stats_(stats),
-      quant_(prefilter != nullptr && BoundPrefilterEnabled()) {
+BoundPipeline::BoundPipeline(double nu_scale, size_t span_elems,
+                             BatchRunStats* stats)
+    : nu_scale_(nu_scale), span_elems_(span_elems), stats_(stats) {
   SVT_CHECK(span_elems_ >= 1);
   SVT_CHECK(stats_ != nullptr);
 }
 
 void BoundPipeline::BeginChunk(const double* answers, const double* thresholds,
-                               size_t offset, size_t n) {
+                               size_t n) {
   SVT_DCHECK(n >= 1);
   a_ = answers;
   t_ = thresholds;
-  offset_ = offset;
   n_ = n;
   nspans_ = (n + span_elems_ - 1) / span_elems_;
   SVT_DCHECK(nspans_ <= kMaxSpans);
@@ -48,41 +43,27 @@ void BoundPipeline::BeginChunk(const double* answers, const double* thresholds,
   for (size_t j = 0; j < nspans_; ++j) {
     const size_t s = j * span_elems_;
     const size_t m = std::min(span_elems_, n - s);
-    if (quant_) {
-      span_upper_[j] = prefilter_->ScoreUpper(offset + s, m);
-      if (thresholds != nullptr) {
-        span_bar_lower_[j] = prefilter_->BarLower(offset + s, m);
-      }
-      // A NaN bound fails every prune test and so stays sound, but only by
-      // fall-through: the quantized level would silently stop pruning. The
-      // prefilter's dequantization never produces one; check it here.
-      SVT_DCHECK(!std::isnan(span_upper_[j]));
-      SVT_DCHECK(thresholds == nullptr || !std::isnan(span_bar_lower_[j]));
-    } else {
-      span_upper_[j] = vec::MaxBlock({answers + s, m});
-      if (thresholds != nullptr) {
-        span_bar_lower_[j] = vec::MinBlock({thresholds + s, m});
-      }
+    span_upper_[j] = vec::MaxBlock({answers + s, m});
+    if (thresholds != nullptr) {
+      span_bar_lower_[j] = vec::MinBlock({thresholds + s, m});
     }
   }
-  // Max is exact, so the reduction over span uppers equals the whole-chunk
-  // upper — and in full precision it is bit-for-bit the pre-refactor
-  // whole-chunk a_max.
+  // Max is exact, so on NaN-free answers the fold over span uppers is the
+  // whole-chunk maximum. A span whose upper is NaN bounds nothing (class
+  // comment), so its NaN must reach the chunk upper: std::max(c, x) would
+  // drop it.
   chunk_upper_ = span_upper_[0];
   for (size_t j = 1; j < nspans_; ++j) {
-    chunk_upper_ = std::max(chunk_upper_, span_upper_[j]);
+    chunk_upper_ = std::isnan(span_upper_[j])
+                       ? span_upper_[j]
+                       : std::max(chunk_upper_, span_upper_[j]);
   }
-  // The level's bound-pass read volume, charged once per chunk (chunk
+  // The bound pass's read volume, charged once per chunk (chunk
   // granularity makes the counter dispatch-independent: every span of
   // every chunk is reduced exactly once here).
-  const size_t score_bytes =
-      quant_ ? prefilter_->score_bytes_per_element() : sizeof(double);
-  stats_->bound_bytes_touched += static_cast<int64_t>(n * score_bytes);
-  if (thresholds != nullptr) {
-    const size_t bar_bytes =
-        quant_ ? prefilter_->bar_bytes_per_element() : sizeof(double);
-    stats_->bound_bytes_touched += static_cast<int64_t>(n * bar_bytes);
-  }
+  const size_t sides = thresholds != nullptr ? 2 : 1;
+  stats_->bound_bytes_touched +=
+      static_cast<int64_t>(sides * n * sizeof(double));
 }
 
 double BoundPipeline::NuBound(std::uint64_t w_min) const {
@@ -128,7 +109,6 @@ void BoundPipeline::EnsureSpanNuBounds() {
 
 double BoundPipeline::SubrangeScoreUpper(size_t s, size_t m) const {
   SVT_DCHECK(m >= 1 && s + m <= n_);
-  if (quant_) return prefilter_->ScoreUpper(offset_ + s, m);
   return vec::MaxBlock({a_ + s, m});
 }
 
@@ -146,7 +126,7 @@ std::uint64_t BoundPipeline::SpanSkipWordPerQuery(size_t j, double rho) const {
   // The rounded add matches the kernels' per-element fl(t_i + ρ) shape;
   // MegaSkipWordThreshold's contract only needs a_max >= every a_i and
   // the bar <= every per-element bar, both of which the span plan holds
-  // (quantized uppers/lowers included — see the class comment).
+  // (see the class comment).
   return vec::MegaSkipWordThreshold(span_upper_[j], span_bar_lower_[j] + rho,
                                     nu_scale_);
 }
@@ -168,7 +148,6 @@ bool BoundPipeline::SpanCanFire(size_t j, double bar) {
   EnsureSpanNuBounds();
   if (span_upper_[j] + span_nu_bound_[j] < bar) {
     ++stats_->tier2_spans_skipped;
-    if (quant_) ++stats_->bound_spans_pruned_q;
     return false;
   }
   return true;
@@ -181,7 +160,6 @@ bool BoundPipeline::SpanCanFirePerQuery(size_t j, double rho) {
   // whose padded upper stays below it cannot fire any per-query test.
   if (span_upper_[j] + span_nu_bound_[j] < span_bar_lower_[j] + rho) {
     ++stats_->tier2_spans_skipped;
-    if (quant_) ++stats_->bound_spans_pruned_q;
     return false;
   }
   return true;

@@ -7,28 +7,13 @@
 // hierarchical bound, the megakernel generate-and-bound pass, and the
 // per-query path that had none).
 //
-// The pipeline is a per-chunk plan of PRECISION LEVELS, each holding a
-// round-toward-pessimistic representation of the query-score/threshold
-// inputs, passing only surviving spans downward:
+// The pipeline holds one full-precision bound per chunk: per kBoundSpan
+// span, vec::MaxBlock over the answers (and, per-query, vec::MinBlock
+// over the thresholds), with the chunk bound folded from the span bounds.
+// Spans it cannot discharge go to the exact scan in batch_runner: the
+// megakernel sample-and-scan, which computes the streaming positive test.
 //
-//   level 0 (optional, quantized): per-span score upper bounds and bar
-//     lower bounds dequantized from a BoundPrefilter's uint8/uint16 codes
-//     (data/bound_prefilter.h) — the bound pass touches 4-8x less memory;
-//   level 1 (full precision): vec::MaxBlock / vec::MinBlock over the
-//     doubles themselves — used when no prefilter is attached or
-//     SVT_BOUND_PREFILTER=off;
-//   final level (exact, in batch_runner): the megakernel sample-and-scan
-//     of surviving spans, which computes the exact streaming positive test —
-//     the "rerank at full precision" of the two-level pattern.
-//
-// When a prefilter is attached, the quantized level alone decides the
-// prunes (its bound is weaker, so it prunes a subset of what level 1
-// would; surviving spans go straight to the exact scan — re-running the
-// full-precision reduction on survivors would re-read the very bytes the
-// prefilter exists to avoid).
-//
-// Conservativeness proof (the quantization level folds into the padded
-// bound chain with NO new epsilon analysis):
+// Conservativeness proof:
 //
 //   The computed positive test a path can fire is
 //       fl(a_i + nu_i) >= bar         (common: bar = fl(T + rho))
@@ -36,9 +21,8 @@
 //   with every fl(·) a correctly-rounded IEEE add, which is MONOTONE
 //   non-decreasing in each operand. The pipeline skips a span only when
 //       fl(up + NB) < fl(dn + rho)    (common: the rhs is bar itself)
-//   where up >= a_i for every non-NaN a_i in the span (exact MaxBlock, or
-//   the prefilter's per-element round-up invariant), dn <= t_i for every
-//   non-NaN t_i (exact MinBlock, or the round-down invariant), and NB is
+//   where up >= a_i for every non-NaN a_i in the span (MaxBlock), dn <=
+//   t_i for every non-NaN t_i (MinBlock), and NB is
 //   the padded noise bound nu_scale * (-Log(u(w_min))) * kBoundSlack with
 //   w_min the span's minimum magnitude word: u is monotone in the word
 //   and -log anti-monotone, so NB >= nu_scale * (-Log(u(w_i))) >= nu_i
@@ -50,18 +34,26 @@
 //       fl(a_i + nu_i) <= fl(up + NB) < fl(dn + rho) <= fl(t_i + rho)
 //   so no element of a pruned span can fire its computed test — at any
 //   dispatch level (each fl(·) and the Log kernel are bit-identical
-//   across levels). Elements with
-//   NaN answers or NaN thresholds compare false in the exact test and
-//   are excluded from up/dn by the prefilter's build rule (full-precision
-//   reductions are only used on NaN-free inputs — ScoreVector checks).
+//   across levels).
+//
+//   NaN: nothing upstream rejects NaN answers or thresholds (RunAppend
+//   takes raw spans), so the chain must hold with them. MaxBlock/MinBlock
+//   skip a NaN element unless it is the first of the range, which makes
+//   the bound NaN (vecmath.h). Either way the bound stays sound: a NaN-free
+//   bound is the maximum (minimum) of the span's non-NaN elements, so it
+//   bounds every element that can fire; a NaN bound fails every prune
+//   test (each comparison with NaN is false, so the span survives) and
+//   makes vec::MegaSkipWordThreshold return kMegaNeverSkipWord; and an
+//   element with a NaN answer or threshold never fires its own test. The
+//   chunk bound propagates a NaN from any span, since a span whose bound
+//   is NaN has told nothing about its other elements.
+//
 //   Hence pruning is sound, outputs are bit-identical to the bound-free
-//   scan, and — since the quantized level's decisions are themselves
-//   deterministic functions of the codes — tier counters are
+//   scan, and — the reductions being exact — tier counters are
 //   dispatch-independent. This argument sits alongside the megakernel
 //   skip-word soundness argument (vec::MegaSkipWordThreshold), which
 //   consumes this class's score uppers: any up >= max a_i satisfies its
-//   contract, so a quantized upper is as sound a skip-word input as the
-//   exact maximum.
+//   contract.
 //
 // Word-free tier-1 (ChunkCanFireAnyNoise): NB(0) >= NB(w_min) for every
 // possible chunk, so the test fl(up + NB(0)) < bar discharges only chunks
@@ -86,7 +78,6 @@
 #include <optional>
 
 #include "core/svt.h"
-#include "data/bound_prefilter.h"
 
 namespace svt {
 
@@ -96,19 +87,13 @@ class BoundPipeline {
   /// static so the per-chunk plan needs no allocation).
   static constexpr size_t kMaxSpans = 16;
 
-  /// One pipeline per Run call. `prefilter` may be null (full precision);
-  /// when non-null its size must cover every chunk offset passed to
-  /// BeginChunk. The quantized level engages only while the process-wide
-  /// gate (SVT_BOUND_PREFILTER) is on — latched here, once per run.
-  BoundPipeline(const BoundPrefilter* prefilter, double nu_scale,
-                size_t span_elems, BatchRunStats* stats);
+  /// One pipeline per Run call.
+  BoundPipeline(double nu_scale, size_t span_elems, BatchRunStats* stats);
 
   /// Builds the chunk's score-upper (and, per-query, bar-lower) plan for
-  /// answers[0, n) at absolute offset `offset` in the prefilter's arrays.
-  /// `thresholds` is null for common-threshold runs. Charges the level's
-  /// bytes to bound_bytes_touched.
-  void BeginChunk(const double* answers, const double* thresholds,
-                  size_t offset, size_t n);
+  /// answers[0, n). `thresholds` is null for common-threshold runs.
+  /// Charges the bytes read to bound_bytes_touched.
+  void BeginChunk(const double* answers, const double* thresholds, size_t n);
 
   size_t num_spans() const { return nspans_; }
 
@@ -133,8 +118,8 @@ class BoundPipeline {
   double SubrangeScoreUpper(size_t s, size_t m) const;
 
   /// Megakernel skip words, derived inside the pipeline so every scan
-  /// (and the quantized level, when attached) feeds the same answer-max /
-  /// bar pairs into vec::MegaSkipWordThreshold. Valid after
+  /// feeds the same answer-max / bar pairs into
+  /// vec::MegaSkipWordThreshold. Valid after
   /// BeginChunk; they need no noise minima.
   std::uint64_t ChunkSkipWord(double bar) const;
   std::uint64_t SpanSkipWord(size_t j, double bar) const;
@@ -160,28 +145,21 @@ class BoundPipeline {
   bool ChunkCanFireAnyNoise(double bar);
 
   /// Tier-2 span tests. False means provably no element fires; these
-  /// count tier2_spans_skipped (and bound_spans_pruned_q when the
-  /// quantized level decided) per CALL, i.e. per span visit — revisits
+  /// count tier2_spans_skipped per CALL, i.e. per span visit — revisits
   /// across resume walks recount, exactly as the pre-refactor walks did.
   bool SpanCanFire(size_t j, double bar);
   bool SpanCanFirePerQuery(size_t j, double rho);
-
-  /// True when the quantized level is active for this run.
-  bool quantized() const { return quant_; }
 
  private:
   double NuBound(std::uint64_t w_min) const;
   void EnsureSpanNuBounds();
 
-  const BoundPrefilter* prefilter_;  // null or inactive when !quant_
   const double nu_scale_;
   const size_t span_elems_;
   BatchRunStats* const stats_;
-  const bool quant_;
 
   const double* a_ = nullptr;
   const double* t_ = nullptr;
-  size_t offset_ = 0;
   size_t n_ = 0;
   size_t nspans_ = 0;
   bool span_nu_ready_ = false;

@@ -68,22 +68,6 @@ size_t SvtMechanism::RunAppend(std::span<const double> answers,
   return out->size() - start;
 }
 
-size_t SvtMechanism::RunAppend(std::span<const double> answers,
-                               std::span<const double> thresholds,
-                               const BoundPrefilter* /*prefilter*/,
-                               std::vector<Response>* out) {
-  // The streaming reference loop has no bound pass to accelerate; outputs
-  // are prefilter-independent by contract, so the base just drops it.
-  return RunAppend(answers, thresholds, out);
-}
-
-size_t SvtMechanism::RunAppend(std::span<const double> answers,
-                               double threshold,
-                               const BoundPrefilter* /*prefilter*/,
-                               std::vector<Response>* out) {
-  return RunAppend(answers, threshold, out);
-}
-
 SpecDrivenSvt::SpecDrivenSvt(VariantSpec spec, Rng* rng)
     : spec_(std::move(spec)), rng_(rng) {
   SVT_CHECK(rng_ != nullptr);
@@ -145,28 +129,12 @@ void SpecDrivenSvt::Reset() {
 size_t SpecDrivenSvt::RunAppend(std::span<const double> answers,
                                 std::span<const double> thresholds,
                                 std::vector<Response>* out) {
-  return RunAppend(answers, thresholds, /*prefilter=*/nullptr, out);
+  return BatchRunner(spec_, rng_, &state_).Run(answers, thresholds, out);
 }
 
 size_t SpecDrivenSvt::RunAppend(std::span<const double> answers,
                                 double threshold, std::vector<Response>* out) {
-  return RunAppend(answers, threshold, /*prefilter=*/nullptr, out);
-}
-
-size_t SpecDrivenSvt::RunAppend(std::span<const double> answers,
-                                std::span<const double> thresholds,
-                                const BoundPrefilter* prefilter,
-                                std::vector<Response>* out) {
-  return BatchRunner(spec_, rng_, &state_)
-      .Run(answers, thresholds, prefilter, out);
-}
-
-size_t SpecDrivenSvt::RunAppend(std::span<const double> answers,
-                                double threshold,
-                                const BoundPrefilter* prefilter,
-                                std::vector<Response>* out) {
-  return BatchRunner(spec_, rng_, &state_)
-      .Run(answers, threshold, prefilter, out);
+  return BatchRunner(spec_, rng_, &state_).Run(answers, threshold, out);
 }
 
 Status SvtOptions::Validate() const {

@@ -30,8 +30,6 @@
 
 namespace svt {
 
-class BoundPrefilter;  // data/bound_prefilter.h
-
 /// Abstract interface shared by every SVT-family mechanism in the library
 /// (the proposed SparseVector and the six published variants), so the audit
 /// and evaluation layers can drive them uniformly.
@@ -91,21 +89,6 @@ class SvtMechanism {
                            std::vector<Response>* out);
   virtual size_t RunAppend(std::span<const double> answers, double threshold,
                            std::vector<Response>* out);
-
-  /// RunAppend with a quantized bound prefilter attached
-  /// (data/bound_prefilter.h): `prefilter` must have been built over
-  /// exactly these answers (and thresholds) arrays, or be nullptr. The
-  /// prefilter only accelerates the batch engine's conservative bound
-  /// pass — emitted Responses are bit-identical with it attached, absent,
-  /// or disabled (SVT_BOUND_PREFILTER=off). The base implementations
-  /// ignore it (the streaming loop has no bound pass).
-  virtual size_t RunAppend(std::span<const double> answers,
-                           std::span<const double> thresholds,
-                           const BoundPrefilter* prefilter,
-                           std::vector<Response>* out);
-  virtual size_t RunAppend(std::span<const double> answers, double threshold,
-                           const BoundPrefilter* prefilter,
-                           std::vector<Response>* out);
 };
 
 /// Execution counters of the batch engine, cleared on Reset(). They report
@@ -133,17 +116,11 @@ struct BatchRunStats {
   /// kBoundSpan-sized spans proven all-⊥ by the per-span max-|ν| bound
   /// after the whole-chunk bound failed — their transforms never ran.
   int64_t tier2_spans_skipped = 0;
-  /// Span visits pruned by the QUANTIZED bound level (a subset of
-  /// tier2_spans_skipped): only nonzero when a BoundPrefilter was attached
-  /// and SVT_BOUND_PREFILTER is on. Dispatch-independent, like every
-  /// counter here.
-  int64_t bound_spans_pruned_q = 0;
   /// Bytes the bound pass's score/threshold-side span reductions read per
-  /// chunk: 8 per element and side at full precision, the prefilter's 1-2
-  /// per element and side when quantized — the two-level prefilter's whole
-  /// point. Counted once per chunk entering a bound-carrying path
-  /// (deterministic in the workload shape: dispatch-independent;
-  /// resume-head re-reductions after positives are not counted).
+  /// chunk: 8 per element and side. Counted once per chunk entering a
+  /// bound-carrying path (deterministic in the workload shape:
+  /// dispatch-independent; resume-head re-reductions after positives are
+  /// not counted).
   int64_t bound_bytes_touched = 0;
   /// Elements of per-query chunks whose magnitude word's top 53 bits
   /// reached their span's conservative skip word (the span's answer-max
@@ -228,22 +205,6 @@ struct SvtRunState {
 /// tests/core_batch_runner_test.cc diffs Run() against the Process() loop
 /// at every dispatch level.
 ///
-/// Quantized bound representations are BOUND-ONLY: the BoundPipeline's
-/// quantized prefilter level (core/bound_pipeline.h,
-/// data/bound_prefilter.h) reads uint8/uint16 codes instead of the
-/// full-precision answers/thresholds, but those codes feed exclusively
-/// the conservative skip decisions and skip-word derivation — never a
-/// draw, a word→variate transform, or an emitted value. Every chunk
-/// still consumes exactly n · words-per-variate ν words whether a span
-/// was pruned by the quantized level, the full-precision level, or not
-/// at all, so steps 1-5 are untouched and the emitted Response sequence
-/// is bit-identical with the prefilter attached, absent, or disabled
-/// (SVT_BOUND_PREFILTER=off — a CI equivalence leg). Tier counters may
-/// legitimately differ between prefilter-on and prefilter-off runs (the
-/// quantized bound is weaker, so it prunes a subset of what full
-/// precision would); they remain dispatch-independent within either
-/// setting.
-///
 /// Hence the k-th emitted Response is the same whether queries arrive one
 /// at a time through Process() or in bulk through Run() — and, by (4) and
 /// (5), whether the host dispatches scalar, AVX2 or AVX-512 kernels: the
@@ -265,13 +226,6 @@ class SpecDrivenSvt : public SvtMechanism {
                    std::span<const double> thresholds,
                    std::vector<Response>* out) override;
   size_t RunAppend(std::span<const double> answers, double threshold,
-                   std::vector<Response>* out) override;
-  size_t RunAppend(std::span<const double> answers,
-                   std::span<const double> thresholds,
-                   const BoundPrefilter* prefilter,
-                   std::vector<Response>* out) override;
-  size_t RunAppend(std::span<const double> answers, double threshold,
-                   const BoundPrefilter* prefilter,
                    std::vector<Response>* out) override;
 
   /// Batch-engine tier counters since the last Reset(): how many chunks the

@@ -46,15 +46,6 @@ ScoreVector ScoreVector::Shuffled(Rng& rng) const {
   return ScoreVector(std::move(out));
 }
 
-const BoundPrefilter* ScoreVector::bound_prefilter() const {
-  SVT_CHECK(!scores_.empty());
-  if (prefilter_ == nullptr) {
-    prefilter_ = std::make_shared<const BoundPrefilter>(
-        BoundPrefilter::Build(scores_));
-  }
-  return prefilter_.get();
-}
-
 ScoreVector ScoreVector::Permuted(std::span<const uint32_t> permutation) const {
   SVT_CHECK(permutation.size() == scores_.size());
   std::vector<double> out(scores_.size());

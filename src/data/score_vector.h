@@ -6,12 +6,11 @@
 #define SPARSEVEC_DATA_SCORE_VECTOR_H_
 
 #include <cstddef>
-#include <memory>
+#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "common/rng.h"
-#include "data/bound_prefilter.h"
 
 namespace svt {
 
@@ -45,20 +44,8 @@ class ScoreVector {
   /// [0, size())).
   ScoreVector Permuted(std::span<const uint32_t> permutation) const;
 
-  /// The vector's quantized bound companion (score side only), built
-  /// lazily on first use and cached — pass it to the batch engine's
-  /// prefiltered RunAppend so repeated runs over the same vector (the
-  /// paper's sweep shape) pay the quantization once and the per-span
-  /// bound pass reads 1-2 bytes per element instead of 8. Shuffled() and
-  /// Permuted() return fresh vectors with their own (unbuilt) cache.
-  /// Codes are bound-only: attaching them never changes emitted
-  /// responses (core/svt.h contract). Not thread-safe against concurrent
-  /// first calls, like the rest of this class.
-  const BoundPrefilter* bound_prefilter() const;
-
  private:
   std::vector<double> scores_;
-  mutable std::shared_ptr<const BoundPrefilter> prefilter_;  // lazy cache
 };
 
 }  // namespace svt

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -706,7 +707,6 @@ void ExpectSameStats(const BatchRunStats& a, const BatchRunStats& b,
   EXPECT_EQ(a.tier2_chunks_scanned, b.tier2_chunks_scanned) << ctx;
   EXPECT_EQ(a.tier2_fused_segments, b.tier2_fused_segments) << ctx;
   EXPECT_EQ(a.tier2_spans_skipped, b.tier2_spans_skipped) << ctx;
-  EXPECT_EQ(a.bound_spans_pruned_q, b.bound_spans_pruned_q) << ctx;
   EXPECT_EQ(a.bound_bytes_touched, b.bound_bytes_touched) << ctx;
   EXPECT_EQ(a.mega_words_skipped_q, b.mega_words_skipped_q) << ctx;
   EXPECT_EQ(a.replay_rederivations, b.replay_rederivations) << ctx;
@@ -869,8 +869,9 @@ TEST(BatchRunnerTest, MegakernelMatchesStreamingUnderRhoResampling) {
   // each chunk overflows the recorded-hit cache and every resume takes
   // the checkpoint walk — including rebuilding its stream cursor at an
   // off-grid position from the enclosing span's pass-1 checkpoint. The
-  // cached replay under a moved bar is covered by WordFreeTier1's
-  // exponential-ν case. Responses and stream positions must match
+  // cached replay under a moved bar is covered by
+  // LaplaceCachedHitReplayUnderMovedBar and WordFreeTier1's exponential-ν
+  // case. Responses and stream positions must match
   // streaming exactly at every dispatch level, and the counters must not
   // depend on the level.
   ScopedDispatchLevel restore_level;
@@ -1008,6 +1009,131 @@ TEST(BatchRunnerTest, ResamplingHitOverflowMatchesStreaming) {
       first_stats = got.stats;
     } else {
       ExpectSameStats(got.stats, *first_stats, ctx);
+    }
+  }
+}
+
+TEST(BatchRunnerTest, LaplaceCachedHitReplayUnderMovedBar) {
+  // The common arm's cached-hit replay under a moved bar, with Laplace ν.
+  // A cutoff of 4 keeps the ν scale (4cΔ/ε) at 8 ρ scales, so a resampled
+  // ρ moves the bar by a fair fraction of a recorded hit's margin; answers
+  // 4 ν scales under the bar record ~20 hits per chunk (far below the
+  // 128-entry record) behind a finite chunk skip word. After an upward
+  // resample the walk replays the record and must re-test each hit at the
+  // new bar: a hit that fired at the chunk-entry bar and fails at the new
+  // one must not be emitted. Reset cycles give many such resumes; every
+  // run must equal the streaming loop at every dispatch level.
+  ScopedDispatchLevel restore_level;
+  const auto make = [](Rng* rng) {
+    return MakeSvt(NoiseKind::kLaplace, rng, /*resample=*/true, 1.0,
+                   /*cutoff=*/4);
+  };
+  Rng rng_probe(3);
+  const double nu_scale = make(&rng_probe)->spec().nu_scale;
+  std::vector<double> answers(2 * BatchRunner::kChunkSize);
+  Rng gen(60606);
+  for (double& a : answers) {
+    a = (-4.0 + 0.2 * (gen.NextDouble() - 0.5)) * nu_scale;
+  }
+
+  std::optional<BatchRunStats> first_stats;
+  for (vec::DispatchLevel level : vec::kAllDispatchLevels) {
+    if (!vec::SetDispatchLevel(level)) continue;
+    const std::string ctx(vec::DispatchLevelName(level));
+    Rng rng_batch(777), rng_stream(777);
+    const auto batch = make(&rng_batch);
+    const auto stream = make(&rng_stream);
+    BatchRunStats total;
+    int positives = 0;
+    for (int cycle = 0; cycle < 40; ++cycle) {
+      const std::string cctx = ctx + " cycle " + std::to_string(cycle);
+      const std::vector<Response> got = batch->Run(answers, 0.0);
+      std::vector<Response> want;
+      for (size_t i = 0; i < answers.size() && !stream->exhausted(); ++i) {
+        want.push_back(stream->Process(answers[i], 0.0));
+      }
+      ExpectSameResponses(got, want, cctx);
+      ASSERT_EQ(batch->positives_emitted(), stream->positives_emitted())
+          << cctx;
+      positives += batch->positives_emitted();
+      const BatchRunStats& st = batch->batch_stats();
+      total.tier1_chunks_skipped += st.tier1_chunks_skipped;
+      total.tier2_chunks_scanned += st.tier2_chunks_scanned;
+      total.tier2_fused_segments += st.tier2_fused_segments;
+      total.tier2_spans_skipped += st.tier2_spans_skipped;
+      total.bound_bytes_touched += st.bound_bytes_touched;
+      total.replay_rederivations += st.replay_rederivations;
+      batch->Reset();
+      stream->Reset();
+    }
+    EXPECT_GT(positives, 40) << ctx;
+    EXPECT_GT(total.replay_rederivations, 0) << ctx;
+    if (!first_stats.has_value()) {
+      first_stats = total;
+    } else {
+      ExpectSameStats(total, *first_stats, ctx);
+    }
+  }
+}
+
+TEST(BatchRunnerTest, NaNInputsNeverHideAPositive) {
+  // NaN answers or bars never fire their own test, but they must not make
+  // the conservative bound discharge a span or chunk that holds a real
+  // positive. Each case has exactly one sure positive next to NaNs: NaNs
+  // after it in its SIMD lane (a reduction that lets a NaN reset a lane
+  // forgets the earlier extreme), and a NaN opening a later bound span
+  // (whose NaN span bound must reach the chunk bound). Batch must equal
+  // streaming on both arms at every dispatch level, for both noise kinds.
+  ScopedDispatchLevel restore_level;
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const size_t n = 2 * BatchRunner::kChunkSize;
+  const size_t span1 = BatchRunner::kBoundSpan;
+
+  std::vector<double> lane_nan(n, -1e6);  // NaNs behind the positive
+  lane_nan[1] = 1e6;
+  lane_nan[5] = lane_nan[9] = kNaN;
+  std::vector<double> span_nan(n, -1e6);  // a NaN opening span 1
+  span_nan[span1] = kNaN;
+  span_nan[span1 + 1] = 1e6;
+  std::vector<double> first_nan(n, -1e6);  // a NaN seeding the chunk
+  first_nan[0] = kNaN;
+  first_nan[1] = 1e6;
+  const std::vector<double> far(n, -1e6);
+  const std::vector<double> zero_bars(n, 0.0);
+  std::vector<double> lane_nan_bars(n, 0.0);  // NaN bars behind a low bar
+  lane_nan_bars[1] = -2e6;
+  lane_nan_bars[5] = lane_nan_bars[9] = kNaN;
+  std::vector<double> span_nan_bars(n, 0.0);
+  span_nan_bars[span1] = kNaN;
+  span_nan_bars[span1 + 1] = -2e6;
+
+  const struct {
+    const char* name;
+    RunCall call;
+  } cases[] = {
+      {"common lane NaN", {&lane_nan, 0.0}},
+      {"common span NaN", {&span_nan, 0.0}},
+      {"common first NaN", {&first_nan, 0.0}},
+      {"per-query answer lane NaN", {&lane_nan, 0.0, &zero_bars}},
+      {"per-query answer span NaN", {&span_nan, 0.0, &zero_bars}},
+      {"per-query bar lane NaN", {&far, 0.0, &lane_nan_bars}},
+      {"per-query bar span NaN", {&far, 0.0, &span_nan_bars}},
+  };
+  for (const NoiseKind nu_kind : {NoiseKind::kLaplace, NoiseKind::kExponential}) {
+    const auto make = [nu_kind](Rng* rng) {
+      return MakeSvt(nu_kind, rng, /*resample=*/false, 10.0, /*cutoff=*/5);
+    };
+    for (const auto& c : cases) {
+      for (vec::DispatchLevel level : vec::kAllDispatchLevels) {
+        if (!vec::SetDispatchLevel(level)) continue;
+        const std::string ctx =
+            std::string(c.name) +
+            (nu_kind == NoiseKind::kLaplace ? " lap " : " exp ") +
+            vec::DispatchLevelName(level);
+        const Observed got = ExpectBatchMatchesStreaming(make, 5150, {c.call},
+                                                         ctx);
+        EXPECT_EQ(got.positives, 1) << ctx;
+      }
     }
   }
 }

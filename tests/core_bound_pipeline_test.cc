@@ -1,24 +1,24 @@
-// BoundPipeline / BoundPrefilter conservativeness and equivalence.
+// BoundPipeline: the full-precision conservative bound.
 //
-// The quantized prefilter level is licensed by two claims (proofs in
-// data/bound_prefilter.h and core/bound_pipeline.h):
-//   1. per element, the dequantized code bounds the value from the
-//      pessimistic side (scores from above, bars from below) — so the
-//      quantized level can never prune a span the full-precision bound
-//      keeps, and
-//   2. codes are bound-only — so engine output is bit-identical with the
-//      prefilter attached, absent, or disabled, at every dispatch level,
-//      for both noise kinds.
+// The engine's skip decisions are licensed by two claims (proof in
+// core/bound_pipeline.h):
+//   1. per span, the score upper is the exact maximum of the span's
+//      non-NaN answers (the bar lower the exact minimum of its non-NaN
+//      thresholds), or NaN when the span opens with a NaN — so a span
+//      holding an element whose computed test fires is never pruned, and
+//   2. bound decisions never touch a draw — so engine output is
+//      bit-identical to the streaming Process() loop at every dispatch
+//      level, for both noise kinds.
 // This file attacks both with adversarial value sets: subnormals,
-// near-threshold ties, max-magnitude deltas, infinities, and (at the
-// prefilter unit level, where no NaN-unaware vector reduction is in the
-// loop) NaN.
+// near-threshold ties, max-magnitude deltas, infinities and NaN.
 
 #include "core/bound_pipeline.h"
 
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,8 +29,6 @@
 #include "core/batch_runner.h"
 #include "core/response.h"
 #include "core/svt.h"
-#include "data/bound_prefilter.h"
-#include "data/score_vector.h"
 #include "dispatch_test_util.h"
 
 namespace svt {
@@ -38,16 +36,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-
-// Restores the prefilter gate on scope exit, mirroring ScopedDispatchLevel.
-class ScopedPrefilterGate {
- public:
-  ScopedPrefilterGate() : saved_(BoundPrefilterEnabled()) {}
-  ~ScopedPrefilterGate() { SetBoundPrefilterEnabled(saved_); }
-
- private:
-  bool saved_;
-};
 
 // Adversarial value pools. `Boundary` values are spliced into otherwise
 // random vectors so every span mixes regimes.
@@ -64,7 +52,7 @@ std::vector<double> BoundaryValues(double center) {
       -0.0,
       std::numeric_limits<double>::max(),      // max-magnitude deltas
       -std::numeric_limits<double>::max(),
-      1e15,                                    // big integers (u8/u16 edges)
+      1e15,                                    // big integers
       -1e15,
   };
 }
@@ -87,8 +75,8 @@ std::vector<double> AdversarialVector(size_t n, double center, double spread,
   return v;
 }
 
-// Exact span extrema computed scalar-style, skipping NaN — the reference
-// the quantized reductions must dominate.
+// Exact span extrema computed scalar-style, skipping NaN — what the
+// pipeline's span bounds must equal on spans that do not open with NaN.
 double ExactMaxSkipNaN(std::span<const double> v) {
   double m = -kInf;
   for (double x : v) {
@@ -105,112 +93,133 @@ double ExactMinSkipNaN(std::span<const double> v) {
   return m;
 }
 
-TEST(BoundPrefilterTest, ScoreUpperDominatesEveryElement) {
-  // Per-element and per-span: the dequantized bound must sit at or above
-  // every non-NaN element, over randomized + boundary vectors at several
-  // centers/spreads — including NaN in the array (the prefilter's own
-  // reductions are NaN-aware by construction: NaN scores get code 0).
+// The largest ν a span's minimum magnitude word yields on the side that
+// can fire (Laplace with a positive sign word, or exponential noise): the
+// noise of the span's most fire-prone element.
+double LargestNu(double nu_scale, uint64_t w_min) {
+  return nu_scale * vec::NegLogUnitPositive(w_min);
+}
+
+TEST(BoundPipelineTest, SpanBoundsAreExactAndNeverPruneAFiringSpan) {
+  // On NaN-free adversarial spans (subnormals, ties, ±DBL_MAX, ±inf) the
+  // span upper is the exact maximum and the bar lower the exact minimum,
+  // at every dispatch level; and for bars placed at, just under and just
+  // over each element's computed sum a + ν, a span holding an element
+  // whose computed test fires is never pruned — common (SpanCanFire,
+  // ChunkCanFire) and per-query (SpanCanFirePerQuery).
+  ScopedDispatchLevel restore;
+  constexpr size_t kSpan = BatchRunner::kBoundSpan;
+  const size_t n = BatchRunner::kChunkSize;
   for (uint64_t seed : {1u, 2u, 3u}) {
     for (double spread : {1.0, 1e-12, 1e8, 1e300}) {
       const std::vector<double> a =
-          AdversarialVector(1000, -3.0, spread, seed, /*with_inf=*/true,
-                            /*with_nan=*/true);
-      const BoundPrefilter pf = BoundPrefilter::Build(a);
-      for (size_t i = 0; i < a.size(); ++i) {
-        if (std::isnan(a[i])) continue;
-        ASSERT_GE(pf.ScoreUpper(i, 1), a[i])
-            << "seed=" << seed << " spread=" << spread << " i=" << i;
-      }
-      for (size_t s = 0; s < a.size(); s += 128) {
-        const size_t m = std::min<size_t>(128, a.size() - s);
-        ASSERT_GE(pf.ScoreUpper(s, m),
-                  ExactMaxSkipNaN({a.data() + s, m}))
-            << "span at " << s;
-      }
-    }
-  }
-}
-
-TEST(BoundPrefilterTest, BarLowerDominatedByEveryElement) {
-  for (uint64_t seed : {4u, 5u, 6u}) {
-    for (double spread : {1.0, 1e-12, 1e8, 1e300}) {
-      const std::vector<double> a =
-          AdversarialVector(1000, -3.0, spread, seed, true, true);
+          AdversarialVector(n, -3.0, spread, seed, /*with_inf=*/true,
+                            /*with_nan=*/false);
       const std::vector<double> t =
-          AdversarialVector(1000, 0.25, spread, seed + 100, true, true);
-      const BoundPrefilter pf = BoundPrefilter::Build(a, t);
-      for (size_t i = 0; i < t.size(); ++i) {
-        if (std::isnan(t[i])) continue;
-        ASSERT_LE(pf.BarLower(i, 1), t[i])
-            << "seed=" << seed << " spread=" << spread << " i=" << i;
+          AdversarialVector(n, 0.25, spread, seed + 100, true, false);
+      Rng words(seed);
+      std::vector<uint64_t> span_min(n / kSpan);
+      for (uint64_t& w : span_min) {
+        const uint64_t r = words.NextUint64();
+        w = r >> (r % 48);  // magnitudes from tiny |ν| to ~35 ν scales
       }
-      for (size_t s = 0; s < t.size(); s += 128) {
-        const size_t m = std::min<size_t>(128, t.size() - s);
-        ASSERT_LE(pf.BarLower(s, m), ExactMinSkipNaN({t.data() + s, m}))
-            << "span at " << s;
+      span_min[seed] = 0;  // the largest |ν| any draw can produce
+      const double nu_scale = 0.5;
+      for (vec::DispatchLevel level : vec::kAllDispatchLevels) {
+        if (!vec::SetDispatchLevel(level)) continue;
+        const std::string ctx = std::string(vec::DispatchLevelName(level)) +
+                                " seed=" + std::to_string(seed) +
+                                " spread=" + std::to_string(spread);
+        BatchRunStats stats;
+        BoundPipeline common(nu_scale, kSpan, &stats);
+        common.BeginChunk(a.data(), nullptr, n);
+        common.SetNoiseMinima(span_min.data());
+        BoundPipeline per_query(nu_scale, kSpan, &stats);
+        per_query.BeginChunk(a.data(), t.data(), n);
+        per_query.SetSpanNoiseMinima(span_min.data());
+        ASSERT_EQ(common.num_spans(), n / kSpan);
+        EXPECT_EQ(common.ChunkScoreUpper(), ExactMaxSkipNaN(a)) << ctx;
+        for (size_t j = 0; j < common.num_spans(); ++j) {
+          const std::span<const double> as(a.data() + j * kSpan, kSpan);
+          const std::span<const double> ts(t.data() + j * kSpan, kSpan);
+          ASSERT_EQ(common.SpanScoreUpper(j), ExactMaxSkipNaN(as)) << ctx;
+          ASSERT_EQ(common.SubrangeScoreUpper(j * kSpan + 1, kSpan - 1),
+                    ExactMaxSkipNaN(as.subspan(1)))
+              << ctx;
+          const double nu = LargestNu(nu_scale, span_min[j]);
+          for (size_t i = 0; i < kSpan; ++i) {
+            const double sum = as[i] + nu;
+            for (double bar : {sum, std::nextafter(sum, -kInf),
+                               std::nextafter(sum, kInf)}) {
+              if (!(sum >= bar)) continue;  // this element does not fire
+              ASSERT_TRUE(common.SpanCanFire(j, bar))
+                  << ctx << " span " << j << " i=" << i << " bar=" << bar;
+              ASSERT_TRUE(common.ChunkCanFire(bar)) << ctx;
+              ASSERT_TRUE(common.ChunkCanFireAnyNoise(bar)) << ctx;
+            }
+            // Per-query: ρ placed so this element's computed test sits at
+            // or near its tie.
+            const double rho0 = sum - ts[i];
+            for (double rho : {rho0, std::nextafter(rho0, -kInf),
+                               std::nextafter(rho0, kInf)}) {
+              if (!(sum >= ts[i] + rho)) continue;
+              ASSERT_TRUE(per_query.SpanCanFirePerQuery(j, rho))
+                  << ctx << " span " << j << " i=" << i << " rho=" << rho;
+            }
+          }
+        }
       }
     }
   }
 }
 
-TEST(BoundPrefilterTest, QuantizedNeverPrunesWhatExactKeeps) {
-  // The engine prunes a span iff fl(up + NB) < bar; correctly-rounded add
-  // is monotone in `up`, so quantized-prunes ⊆ exact-prunes follows from
-  // up_quant >= up_exact per span (and dually dn_quant <= dn_exact). This
-  // asserts exactly that dominance on adversarial spans — the direct
-  // prerequisite of "the quantized level never prunes a span the
-  // full-precision bound keeps", with no noise realization needed.
-  for (uint64_t seed : {7u, 8u}) {
-    const std::vector<double> a =
-        AdversarialVector(4096, -6.0, 2.0, seed, true, false);
-    const std::vector<double> t =
-        AdversarialVector(4096, 0.0, 2.0, seed + 1, true, false);
-    const BoundPrefilter pf = BoundPrefilter::Build(a, t);
-    for (size_t s = 0; s < a.size(); s += 128) {
-      const size_t m = std::min<size_t>(128, a.size() - s);
-      ASSERT_GE(pf.ScoreUpper(s, m), vec::MaxBlock({a.data() + s, m}));
-      ASSERT_LE(pf.BarLower(s, m), vec::MinBlock({t.data() + s, m}));
+TEST(BoundPipelineTest, NaNSpanBoundsStaySound) {
+  // A span that opens with NaN gets a NaN bound (it fails every prune
+  // test, and the chunk upper inherits it); NaN anywhere else is skipped
+  // and the bound is the exact extremum of the span's other elements.
+  ScopedDispatchLevel restore;
+  constexpr size_t kSpan = BatchRunner::kBoundSpan;
+  const size_t n = 4 * kSpan;
+  for (vec::DispatchLevel level : vec::kAllDispatchLevels) {
+    if (!vec::SetDispatchLevel(level)) continue;
+    const std::string ctx(vec::DispatchLevelName(level));
+    std::vector<double> a =
+        AdversarialVector(n, -3.0, 1.0, 9, /*with_inf=*/false,
+                          /*with_nan=*/true);
+    std::vector<double> t = AdversarialVector(n, 0.25, 1.0, 10, false, true);
+    a[5] = a[9] = kNaN;          // span 0: behind earlier lanes
+    a[2 * kSpan] = kNaN;         // span 2 opens with NaN
+    a[2 * kSpan + 1] = 1e6;      // and holds the chunk's largest answer
+    t[kSpan + 3] = t[kSpan + 7] = kNaN;
+    t[3 * kSpan] = kNaN;         // span 3 opens with NaN
+    BatchRunStats stats;
+    BoundPipeline pipe(1.0, kSpan, &stats);
+    pipe.BeginChunk(a.data(), t.data(), n);
+    const std::vector<uint64_t> span_min(n / kSpan, uint64_t{1} << 60);
+    pipe.SetSpanNoiseMinima(span_min.data());
+    for (size_t j = 0; j < pipe.num_spans(); ++j) {
+      const std::span<const double> as(a.data() + j * kSpan, kSpan);
+      if (std::isnan(as[0])) {
+        EXPECT_TRUE(std::isnan(pipe.SpanScoreUpper(j))) << ctx << " " << j;
+      } else {
+        EXPECT_EQ(pipe.SpanScoreUpper(j), ExactMaxSkipNaN(as))
+            << ctx << " " << j;
+      }
     }
-  }
-}
-
-TEST(BoundPrefilterTest, SentinelsAndWidthSelection) {
-  // +inf scores land on the sentinel and poison only their own span.
-  {
-    std::vector<double> a(256, 1.0);
-    a[7] = kInf;
-    const BoundPrefilter pf = BoundPrefilter::Build(a);
-    EXPECT_EQ(pf.ScoreUpper(0, 128), kInf);
-    EXPECT_LT(pf.ScoreUpper(128, 128), kInf);
-  }
-  // -inf bars land on the bar sentinel; NaN bars never deflate a span.
-  {
-    const std::vector<double> a(256, 1.0);
-    std::vector<double> t(256, 5.0);
-    t[3] = -kInf;
-    t[200] = kNaN;
-    const BoundPrefilter pf = BoundPrefilter::Build(a, t);
-    EXPECT_EQ(pf.BarLower(0, 128), -kInf);
-    const double dn = pf.BarLower(128, 128);
-    EXPECT_GT(dn, -kInf);
-    EXPECT_LE(dn, 5.0);
-  }
-  // Small-range integer vectors embed exactly in uint8 (1 byte/element);
-  // fractional or wide ranges take uint16.
-  {
-    std::vector<double> small(300);
-    for (size_t i = 0; i < small.size(); ++i) {
-      small[i] = static_cast<double>(i % 200);
-    }
-    EXPECT_EQ(BoundPrefilter::Build(small).score_bytes_per_element(), 1u);
-    std::vector<double> frac = small;
-    frac[5] = 0.5;
-    EXPECT_EQ(BoundPrefilter::Build(frac).score_bytes_per_element(), 2u);
-    // u8 exactness: the dequantized per-element bound is the value itself.
-    const BoundPrefilter pf = BoundPrefilter::Build(small);
-    for (size_t i = 0; i < small.size(); ++i) {
-      EXPECT_EQ(pf.ScoreUpper(i, 1), small[i]) << i;
-    }
+    EXPECT_TRUE(std::isnan(pipe.ChunkScoreUpper())) << ctx;
+    EXPECT_EQ(pipe.ChunkSkipWord(0.0), vec::kMegaNeverSkipWord) << ctx;
+    // No ρ prunes a span whose bound is NaN.
+    EXPECT_TRUE(pipe.SpanCanFirePerQuery(2, -1e300)) << ctx;
+    EXPECT_TRUE(pipe.SpanCanFirePerQuery(3, 1e300)) << ctx;
+    EXPECT_EQ(pipe.SpanSkipWordPerQuery(3, 1e300), vec::kMegaNeverSkipWord)
+        << ctx;
+    // Span 1's NaN bars are skipped: its bar lower is a real minimum, so
+    // a far-above ρ still lets the far-below answers' span be pruned.
+    EXPECT_EQ(
+        ExactMinSkipNaN({t.data() + kSpan, kSpan}),
+        vec::MinBlock({t.data() + kSpan, kSpan}))
+        << ctx;
+    EXPECT_FALSE(pipe.SpanCanFirePerQuery(1, 1e300)) << ctx;
   }
 }
 
@@ -258,23 +267,25 @@ struct EngineRun {
   BatchRunStats stats;
 };
 
-EngineRun RunCommon(const SvtOptions& o, const std::vector<double>& answers,
-                    const BoundPrefilter* pf, uint64_t seed) {
+// Runs `answers` against a common bar (thresholds null) or per-query bars
+// through the batch engine, or, when `streaming`, through the Process()
+// loop the engine must reproduce.
+EngineRun RunEngine(const SvtOptions& o, const std::vector<double>& answers,
+                    const std::vector<double>* thresholds, bool streaming,
+                    uint64_t seed) {
   Rng rng(seed);
   auto mech = SparseVector::Create(o, &rng).value();
   EngineRun r;
-  mech->RunAppend(answers, 0.0, pf, &r.responses);
-  r.stats = mech->batch_stats();
-  return r;
-}
-
-EngineRun RunPerQuery(const SvtOptions& o, const std::vector<double>& answers,
-                      const std::vector<double>& thresholds,
-                      const BoundPrefilter* pf, uint64_t seed) {
-  Rng rng(seed);
-  auto mech = SparseVector::Create(o, &rng).value();
-  EngineRun r;
-  mech->RunAppend(answers, thresholds, pf, &r.responses);
+  if (streaming) {
+    for (size_t i = 0; i < answers.size() && !mech->exhausted(); ++i) {
+      r.responses.push_back(mech->Process(
+          answers[i], thresholds != nullptr ? (*thresholds)[i] : 0.0));
+    }
+  } else if (thresholds != nullptr) {
+    mech->RunAppend(answers, *thresholds, &r.responses);
+  } else {
+    mech->RunAppend(answers, 0.0, &r.responses);
+  }
   r.stats = mech->batch_stats();
   return r;
 }
@@ -282,19 +293,20 @@ EngineRun RunPerQuery(const SvtOptions& o, const std::vector<double>& answers,
 void ExpectSameTierCounters(const BatchRunStats& a, const BatchRunStats& b,
                             const std::string& context) {
   EXPECT_EQ(a.tier1_chunks_skipped, b.tier1_chunks_skipped) << context;
+  EXPECT_EQ(a.tier1_chunks_jumped, b.tier1_chunks_jumped) << context;
   EXPECT_EQ(a.tier2_chunks_scanned, b.tier2_chunks_scanned) << context;
   EXPECT_EQ(a.tier2_spans_skipped, b.tier2_spans_skipped) << context;
   EXPECT_EQ(a.tier2_fused_segments, b.tier2_fused_segments) << context;
-  EXPECT_EQ(a.bound_spans_pruned_q, b.bound_spans_pruned_q) << context;
   EXPECT_EQ(a.bound_bytes_touched, b.bound_bytes_touched) << context;
+  EXPECT_EQ(a.mega_words_skipped_q, b.mega_words_skipped_q) << context;
 }
 
-TEST(BoundPipelineEngineTest, CommonThresholdPrefilterIsOutputNeutral) {
-  // Prefilter attached vs absent vs gate-disabled: bit-identical output at
-  // every dispatch level, for both noise kinds. And within each prefilter
-  // setting, all six counters are dispatch-independent.
+TEST(BoundPipelineEngineTest, CommonThresholdBoundMatchesStreaming) {
+  // Near-threshold answers with exact bar ties and one-ulp deltas: the
+  // bound prunes spans, yet the engine's output is bit-identical to the
+  // streaming loop at every dispatch level, for both noise kinds, and all
+  // counters are dispatch-independent.
   ScopedDispatchLevel restore_level;
-  ScopedPrefilterGate restore_gate;
   const size_t n = 3 * BatchRunner::kChunkSize + 321;
 
   for (NoiseKind nu_kind : {NoiseKind::kLaplace, NoiseKind::kExponential}) {
@@ -303,63 +315,36 @@ TEST(BoundPipelineEngineTest, CommonThresholdPrefilterIsOutputNeutral) {
     const double nu_scale =
         SparseVector::Create(o, &probe).value()->query_noise_scale();
     const std::vector<double> answers = NearThresholdAnswers(n, nu_scale, 99);
-    const BoundPrefilter pf = BoundPrefilter::Build(answers);
 
-    EngineRun reference;      // plain run, scalar megakernel
-    EngineRun quant_baseline; // prefiltered run, scalar megakernel
-    bool have_reference = false;
-    for (vec::DispatchLevel level :
-         {vec::DispatchLevel::kScalar, vec::DispatchLevel::kAvx2,
-          vec::DispatchLevel::kAvx512}) {
+    std::optional<BatchRunStats> first;
+    for (vec::DispatchLevel level : vec::kAllDispatchLevels) {
       if (!vec::SetDispatchLevel(level)) continue;
       const std::string ctx =
           std::string(nu_kind == NoiseKind::kLaplace ? "lap" : "exp") +
           " level=" + vec::DispatchLevelName(level);
-
-      SetBoundPrefilterEnabled(true);
-      const EngineRun plain = RunCommon(o, answers, nullptr, 21);
-      const EngineRun quant = RunCommon(o, answers, &pf, 21);
-      SetBoundPrefilterEnabled(false);
-      const EngineRun gated = RunCommon(o, answers, &pf, 21);
-      SetBoundPrefilterEnabled(true);
-
-      ExpectSameResponses(quant.responses, plain.responses, ctx + " quant");
-      ExpectSameResponses(gated.responses, plain.responses, ctx + " gated");
-      // The disabled gate is full precision end to end.
-      ExpectSameTierCounters(gated.stats, plain.stats, ctx + " gated");
-
-      if (!have_reference) {
-        reference = plain;
-        quant_baseline = quant;
-        have_reference = true;
-      } else {
-        ExpectSameResponses(plain.responses, reference.responses,
-                            ctx + " cross");
-        ExpectSameTierCounters(plain.stats, reference.stats, ctx + " plain");
-        ExpectSameTierCounters(quant.stats, quant_baseline.stats,
-                               ctx + " quant");
-      }
-      // Prefilter engaged: quantized prunes happen and are flagged; the
-      // plain run flags none.
-      EXPECT_GT(quant.stats.bound_spans_pruned_q, 0) << ctx;
-      EXPECT_EQ(plain.stats.bound_spans_pruned_q, 0) << ctx;
-      EXPECT_GT(quant.stats.tier2_spans_skipped, 0) << ctx;
-      // The quantized bound pass reads 1-2 bytes/element instead of 8.
-      EXPECT_GE(plain.stats.bound_bytes_touched,
-                4 * quant.stats.bound_bytes_touched)
+      const EngineRun batch = RunEngine(o, answers, nullptr, false, 21);
+      const EngineRun stream = RunEngine(o, answers, nullptr, true, 21);
+      ExpectSameResponses(batch.responses, stream.responses, ctx);
+      EXPECT_GT(batch.stats.tier2_spans_skipped, 0) << ctx;
+      // One 8-byte read per answer: every chunk's bound pass, once.
+      EXPECT_EQ(batch.stats.bound_bytes_touched,
+                static_cast<int64_t>(n * sizeof(double)))
           << ctx;
+      if (!first.has_value()) {
+        first = batch.stats;
+      } else {
+        ExpectSameTierCounters(batch.stats, *first, ctx);
+      }
     }
   }
 }
 
-TEST(BoundPipelineEngineTest, PerQueryPrefilterIsOutputNeutral) {
-  // The per-query path's new span bound: responses must stay bit-identical
-  // to streaming semantics with the prefilter attached, absent, or gated
-  // off, across dispatch levels and noise kinds — and the bound
-  // must actually prune (tier2_spans_skipped > 0) on a workload with
-  // far-below stretches.
+TEST(BoundPipelineEngineTest, PerQueryBoundMatchesStreaming) {
+  // The per-query span bound (answer-max against bar-min): bit-identical
+  // to the streaming loop across dispatch levels and noise kinds, with
+  // dispatch-independent counters — and the bound must actually prune
+  // (tier2_spans_skipped > 0) on a workload with far-below stretches.
   ScopedDispatchLevel restore_level;
-  ScopedPrefilterGate restore_gate;
   const size_t n = 2 * BatchRunner::kChunkSize + 57;
 
   for (NoiseKind nu_kind : {NoiseKind::kLaplace, NoiseKind::kExponential}) {
@@ -380,72 +365,28 @@ TEST(BoundPipelineEngineTest, PerQueryPrefilterIsOutputNeutral) {
     }
     // Exact tie at a chunk boundary.
     thresholds[BatchRunner::kChunkSize] = answers[BatchRunner::kChunkSize];
-    const BoundPrefilter pf = BoundPrefilter::Build(answers, thresholds);
 
-    EngineRun reference, quant_baseline;
-    bool have_reference = false;
-    for (vec::DispatchLevel level :
-         {vec::DispatchLevel::kScalar, vec::DispatchLevel::kAvx2,
-          vec::DispatchLevel::kAvx512}) {
+    std::optional<BatchRunStats> first;
+    for (vec::DispatchLevel level : vec::kAllDispatchLevels) {
       if (!vec::SetDispatchLevel(level)) continue;
       const std::string ctx =
           std::string(nu_kind == NoiseKind::kLaplace ? "lap" : "exp") +
           " level=" + vec::DispatchLevelName(level) + " per-query";
-
-      SetBoundPrefilterEnabled(true);
-      const EngineRun plain = RunPerQuery(o, answers, thresholds, nullptr, 4);
-      const EngineRun quant = RunPerQuery(o, answers, thresholds, &pf, 4);
-      SetBoundPrefilterEnabled(false);
-      const EngineRun gated = RunPerQuery(o, answers, thresholds, &pf, 4);
-      SetBoundPrefilterEnabled(true);
-
-      ExpectSameResponses(quant.responses, plain.responses, ctx + " quant");
-      ExpectSameResponses(gated.responses, plain.responses, ctx + " gated");
-      ExpectSameTierCounters(gated.stats, plain.stats, ctx + " gated");
-
-      if (!have_reference) {
-        reference = plain;
-        quant_baseline = quant;
-        have_reference = true;
-      } else {
-        ExpectSameResponses(plain.responses, reference.responses,
-                            ctx + " cross");
-        ExpectSameTierCounters(plain.stats, reference.stats, ctx + " plain");
-        ExpectSameTierCounters(quant.stats, quant_baseline.stats,
-                               ctx + " quant");
-      }
-      // The satellite: per-query spans are actually bounded now.
-      EXPECT_GT(plain.stats.tier2_spans_skipped, 0) << ctx;
-      EXPECT_GT(quant.stats.bound_spans_pruned_q, 0) << ctx;
-      EXPECT_GE(plain.stats.bound_bytes_touched,
-                4 * quant.stats.bound_bytes_touched)
+      const EngineRun batch = RunEngine(o, answers, &thresholds, false, 4);
+      const EngineRun stream = RunEngine(o, answers, &thresholds, true, 4);
+      ExpectSameResponses(batch.responses, stream.responses, ctx);
+      EXPECT_GT(batch.stats.tier2_spans_skipped, 0) << ctx;
+      // 8 bytes per answer and per bar.
+      EXPECT_EQ(batch.stats.bound_bytes_touched,
+                static_cast<int64_t>(2 * n * sizeof(double)))
           << ctx;
+      if (!first.has_value()) {
+        first = batch.stats;
+      } else {
+        ExpectSameTierCounters(batch.stats, *first, ctx);
+      }
     }
   }
-}
-
-TEST(BoundPipelineEngineTest, ScoreVectorCachesItsPrefilter) {
-  std::vector<double> scores(500);
-  for (size_t i = 0; i < scores.size(); ++i) {
-    scores[i] = static_cast<double>(i % 100);
-  }
-  const ScoreVector sv(scores);
-  const BoundPrefilter* pf = sv.bound_prefilter();
-  ASSERT_NE(pf, nullptr);
-  EXPECT_EQ(pf, sv.bound_prefilter());  // cached, built once
-  EXPECT_EQ(pf->size(), sv.size());
-  EXPECT_EQ(pf->score_bytes_per_element(), 1u);  // small-integer embedding
-  // The companion is usable directly against the engine.
-  SvtOptions o;
-  o.epsilon = 1.0;
-  o.cutoff = 1000;
-  Rng rng_a(3), rng_b(3);
-  auto with = SparseVector::Create(o, &rng_a).value();
-  auto without = SparseVector::Create(o, &rng_b).value();
-  std::vector<Response> out_with, out_without;
-  with->RunAppend(sv.scores(), 50.0, pf, &out_with);
-  without->RunAppend(sv.scores(), 50.0, &out_without);
-  ExpectSameResponses(out_with, out_without, "score-vector prefilter");
 }
 
 }  // namespace
